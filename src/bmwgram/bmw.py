@@ -23,15 +23,11 @@ is validated by the relation, associativity and dimension suites.
 
 from __future__ import annotations
 
-import sys
-
-from .coeff import LaurentPoly
+from .coeff import LaurentPoly, add_term
 from .combin import (apply_right_s, dangle_from_data, dfn, perm_id,
                      perm_inv, perm_len, perm_mul, perm_word, right_ascent,
                      s_range)
 from .hecke import HeckeElem
-
-sys.setrecursionlimit(100000)
 
 ONE = LaurentPoly.one()
 OMEGA = LaurentPoly.omega()
@@ -121,47 +117,48 @@ def basis_size(n):
 # element dictionaries
 # ---------------------------------------------------------------------------
 
-def _add(acc, word, coeff):
-    cur = acc.get(word)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = new
-
-
 def _scale(elem, coeff):
     return {wd: c * coeff for wd, c in elem.items()}
 
 
 def _combine(target, elem, coeff=None):
     for wd, c in elem.items():
-        _add(target, wd, c if coeff is None else c * coeff)
+        add_term(target, wd, c if coeff is None else c * coeff)
 
 
-def elem_times_token(n, elem, token):
+# The optional level cap fmax of the products below drops the words of
+# level f > fmax after every generator (mul_elems: from both operands too).
+# That is exact for the words of level <= fmax: the span of the normal words
+# of level >= fmax + 1 is the two-sided ideal J_{fmax+1} (the cellular
+# filtration), so nothing dropped can reach a lower level.
+def elem_times_token(n, elem, token, fmax=None):
     out = {}
     kind, i = token
     for word, c in elem.items():
         res = _wt_cached(n, word, i) if kind == "T" else _we_cached(n, word, i)
-        _combine(out, res, c)
+        for wd, d in res.items():
+            if fmax is None or wd[0] <= fmax:
+                add_term(out, wd, d * c)
     return out
 
 
-def fold(n, elem, tokens):
+def fold(n, elem, tokens, fmax=None):
     for token in tokens:
-        elem = elem_times_token(n, elem, token)
+        elem = elem_times_token(n, elem, token, fmax)
     return elem
 
 
-def fold_T(n, elem, letters):
-    return fold(n, elem, [("T", i) for i in letters])
+def fold_T(n, elem, letters, fmax=None):
+    return fold(n, elem, [("T", i) for i in letters], fmax)
 
 
-def mul_elems(n, left, right):
+def mul_elems(n, left, right, fmax=None):
     out = {}
+    if fmax is not None:
+        left = {wd: c for wd, c in left.items() if wd[0] <= fmax}
     for word, c in right.items():
-        _combine(out, fold(n, _scale(left, c), word_tokens(n, word)))
+        if fmax is None or word[0] <= fmax:
+            _combine(out, fold(n, _scale(left, c), word_tokens(n, word), fmax))
     return out
 
 
@@ -231,7 +228,7 @@ def efn_times_perm(n, f, z, coeff=None):
             break
         if hit:
             continue
-        _add(out, split_wv(n, f, tuple(lz)), c)
+        add_term(out, split_wv(n, f, tuple(lz)), c)
     return out
 
 
@@ -267,7 +264,7 @@ def _wt(n, word, i):
     y2 = apply_right_s(y, i)
     shorter = _attach(u, f, efn_times_perm(n, f, y2))
     out = dict(shorter)
-    _add(out, word, OMEGA)
+    add_term(out, word, OMEGA)
     for wd, c in shorter.items():
         _combine(out, _we_cached(n, wd, i), -c * OMEGA * R_INV)
     return out
@@ -327,7 +324,7 @@ def _we(n, word, i):
             sub = _we_cached(m, (0, perm_id(m), w, perm_id(m)), i)
             out = {}
             for (g, u1, w1, v1), c in sub.items():
-                _add(out, (f + g, _lift_perm(u1, n), w1, _lift_perm(v1, n)), c)
+                add_term(out, (f + g, _lift_perm(u1, n), w1, _lift_perm(v1, n)), c)
         elif i == m:
             out = _lmul_perm(n, y, _block_times_E(n, f, m))
         else:
@@ -423,7 +420,7 @@ def _elem_times_Tinv(n, elem, i):
             _combine(out, _attach(u, f, efn_times_perm(n, f, apply_right_s(y, i))), c)
         else:
             _combine(out, _wt_cached(n, wd, i), c)
-            _add(out, wd, -c * OMEGA)
+            add_term(out, wd, -c * OMEGA)
             _combine(out, _we_cached(n, wd, i), c * OMEGA)
     return out
 
@@ -503,8 +500,8 @@ class BmwElem:
             return cls(n, {gen_word_E(n, i): ONE})
         if kind == "T_inv":
             out = cls.generator("T", i, n).terms.copy()
-            _add(out, word_one(n), -OMEGA)
-            _add(out, gen_word_E(n, i), OMEGA)
+            add_term(out, word_one(n), -OMEGA)
+            add_term(out, gen_word_E(n, i), OMEGA)
             return cls(n, out)
         raise ValueError("kind must be T, T_inv or E")
 
@@ -520,7 +517,7 @@ class BmwElem:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for wd, c in other.terms.items():
-            _add(out, wd, c)
+            add_term(out, wd, c)
         return BmwElem(self.n, out)
 
     def __sub__(self, other):
@@ -601,7 +598,12 @@ _PHI = {}
 def phi_f(u, v, f, n):
     """The tower bilinear form: the Hecke element h with
     E^{f,n} T_u T_v^* E^{f,n} = E^{f,n} h modulo the contraction ideal of
-    the small algebra."""
+    the small algebra.
+
+    The product is taken modulo J_{f+1}, the span of the words of level
+    > f: that span is a two-sided ideal, so dropping it after every
+    generator leaves the level-f words, which are all that h reads, exact.
+    """
     key = (u, v, f, n)
     hit = _PHI.get(key)
     if hit is not None:
@@ -612,9 +614,9 @@ def phi_f(u, v, f, n):
         raise ValueError("arguments must lie in the dangle transversal")
     m = n - 2 * f
     elem = {word_efn(n, f): ONE}
-    elem = fold_T(n, elem, perm_word(u))
-    elem = fold_T(n, elem, list(reversed(perm_word(v))))
-    elem = fold(n, elem, [("E", j) for j in range(n - 1, m, -2)])
+    elem = fold_T(n, elem, perm_word(u), f)
+    elem = fold_T(n, elem, list(reversed(perm_word(v))), f)
+    elem = fold(n, elem, [("E", j) for j in range(n - 1, m, -2)], f)
     terms = {}
     idn = perm_id(n)
     for (ff, uu, ww, vv), c in elem.items():

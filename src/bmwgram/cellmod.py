@@ -106,12 +106,13 @@ def _seed_element(cell):
 
 
 def _row_elements(cell):
-    n = cell.n
+    """E^{f,n} X_lam T_{d(t)} T_v for every label (t, v), modulo J_{f+1}."""
+    n, f = cell.n, cell.f
     seed = _seed_element(cell)
     rows = []
     for t, v in cell_labels(cell):
-        elem = fold_T(n, seed, perm_word(d_of(t)))
-        elem = fold_T(n, elem, perm_word(v))
+        elem = fold_T(n, seed, perm_word(d_of(t)), f)
+        elem = fold_T(n, elem, perm_word(v), f)
         rows.append(elem)
     return rows
 
@@ -132,8 +133,15 @@ def _extract(cell, elem):
 
 
 def gram_matrix(cell):
-    """Gram matrix of the invariant form, computed inside the algebra."""
-    n = cell.n
+    """Gram matrix of the invariant form, computed inside the algebra.
+
+    Every product is taken modulo J_{f+1}, the span of the normal words of
+    level > f: the row elements are cut to level f and the words above it
+    are dropped after every generator.  That is exact because J_{f+1} is a
+    two-sided ideal (the cellular filtration), so nothing dropped can reach
+    level f, and an entry reads only level-f coefficients.
+    """
+    n, f = cell.n, cell.f
     labels = cell_labels(cell)
     rows = _row_elements(cell)
     cols = [star_elem(rw) for rw in rows]
@@ -141,7 +149,7 @@ def gram_matrix(cell):
     entries = [[None] * size for _ in range(size)]
     for a in range(size):
         for b in range(a, size):
-            prod = mul_elems(n, rows[a], cols[b])
+            prod = mul_elems(n, rows[a], cols[b], f)
             val = _extract(cell, prod)
             entries[a][b] = val
             entries[b][a] = val
@@ -222,7 +230,7 @@ def central_scalar(cell):
 def central_twisted_gram(cell, z_elem=None):
     """Entries extract(row_a * Z * col_b): equals scalar * Gram when the
     central element acts by that scalar."""
-    n = cell.n
+    n, f = cell.n, cell.f
     if z_elem is None:
         z_elem = central_element(n)
     labels = cell_labels(cell)
@@ -231,8 +239,8 @@ def central_twisted_gram(cell, z_elem=None):
     size = len(labels)
     entries = [[None] * size for _ in range(size)]
     for a in range(size):
-        ra = mul_elems(n, rows[a], z_elem.terms)
+        ra = mul_elems(n, rows[a], z_elem.terms, f)
         for b in range(size):
-            prod = mul_elems(n, ra, cols[b])
+            prod = mul_elems(n, ra, cols[b], f)
             entries[a][b] = _extract(cell, prod)
     return GramMatrix(cell, labels, entries)

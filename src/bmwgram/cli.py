@@ -2,7 +2,8 @@
 
 Subcommands: classify, classify-brauer, gram, dims, verify, oracle, sweep
 and cache.  Output is deterministic; --threads only affects wall time.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or failed internal check (reported
+as one ``error:`` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, KeyError, ArithmeticError) as err:
+    except (ValueError, KeyError, ArithmeticError, RuntimeError,
+            AssertionError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -52,6 +52,40 @@ def _div_omega(terms):
     return out
 
 
+def _reduce_w(terms, wexp):
+    """Divide zero-free terms by w while wexp allows: (terms, wexp) in
+    canonical form."""
+    if not terms:
+        return terms, 0
+    while wexp > 0:
+        quo = _div_omega(terms)
+        if quo is None:
+            break
+        terms = quo
+        wexp -= 1
+    return terms, wexp
+
+
+def _canonical(terms, wexp=0):
+    """A LaurentPoly from terms already in canonical form (no zero
+    coefficient, minimal wexp), without the checks of __init__."""
+    out = object.__new__(LaurentPoly)
+    out.terms = terms
+    out.wexp = wexp
+    return out
+
+
+def add_term(terms, key, c):
+    """terms[key] += c in place for a LaurentPoly c, keeping no zero
+    coefficient in the map."""
+    cur = terms.get(key)
+    if cur is not None:
+        c = cur + c
+    if c.terms:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
 class LaurentPoly:
     """Element of Z[q^±1, r^±1][w^{-1}], canonical form.
 
@@ -62,17 +96,7 @@ class LaurentPoly:
     __slots__ = ("terms", "wexp")
 
     def __init__(self, terms=None, wexp=0):
-        terms = _strip(terms or {})
-        if not terms:
-            wexp = 0
-        while wexp > 0:
-            quo = _div_omega(terms)
-            if quo is None:
-                break
-            terms = quo
-            wexp -= 1
-        self.terms = terms
-        self.wexp = wexp
+        self.terms, self.wexp = _reduce_w(_strip(terms or {}), wexp)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -128,17 +152,26 @@ class LaurentPoly:
         return hash((self.wexp, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()}, self.wexp)
+        return _canonical({k: -c for k, c in self.terms.items()}, self.wexp)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         k = max(self.wexp, other.wexp)
-        a = self._scaled_numerator(k - self.wexp)
-        b = other._scaled_numerator(k - other.wexp)
+        out = self._scaled_numerator(k - self.wexp)
+        b = (other.terms if other.wexp == k
+             else other._scaled_numerator(k - other.wexp))
         for key, c in b.items():
-            a[key] = a.get(key, 0) + c
-        return LaurentPoly(a, k)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return _canonical(*_reduce_w(out, k))
 
     def __sub__(self, other):
         return self + (-other)
@@ -148,12 +181,27 @@ class LaurentPoly:
             other = LaurentPoly.integer(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out, self.wexp + other.wexp)
+        x, y = self, other
+        if len(x.terms) == 1 and len(y.terms) != 1:
+            x, y = y, x
+        # now y is the monomial, if either side is one
+        if len(y.terms) != 1 or not x.terms:
+            out = {}
+            for (a1, b1), c1 in x.terms.items():
+                for (a2, b2), c2 in y.terms.items():
+                    key = (a1 + a2, b1 + b2)
+                    out[key] = out.get(key, 0) + c1 * c2
+            return LaurentPoly(out, x.wexp + y.wexp)
+        ((a2, b2), c2), = y.terms.items()
+        if c2 == 1 and a2 == b2 == y.wexp == 0:
+            return x
+        out = {(a1 + a2, b1 + b2): c1 * c2
+               for (a1, b1), c1 in x.terms.items()}
+        # multiplying by a unit keeps the numerator's w-divisibility, so the
+        # result is canonical unless a w-power meets a numerator w divides
+        if y.wexp and not x.wexp:
+            return _canonical(*_reduce_w(out, y.wexp))
+        return _canonical(out, x.wexp + y.wexp)
 
     __rmul__ = __mul__
 

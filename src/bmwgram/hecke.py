@@ -15,12 +15,23 @@ from __future__ import annotations
 from functools import lru_cache
 import itertools
 
-from .coeff import LaurentPoly
-from .combin import (apply_right_s, d_of, perm_id, perm_inv, perm_len,
-                     perm_word, right_ascent, std_tableaux)
+from .coeff import LaurentPoly, add_term
+from .combin import (apply_right_s, conjugate, d_of, perm_id, perm_inv,
+                     perm_len, perm_mul, perm_word, right_ascent,
+                     std_tableaux)
 from .exactla import gf_rank
 
 OMEGA = LaurentPoly.omega()
+
+
+def _times_gen(terms, i):
+    """The term dict of (sum c g_w) * g_i."""
+    out = {}
+    for w, c in terms.items():
+        add_term(out, apply_right_s(w, i), c)
+        if not right_ascent(w, i):
+            add_term(out, w, OMEGA * c)
+    return out
 
 
 class HeckeElem:
@@ -31,6 +42,14 @@ class HeckeElem:
     def __init__(self, m, terms=None):
         self.m = m
         self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def _wrap(cls, m, terms):
+        """An element over a term dict that has no zero coefficient."""
+        out = object.__new__(cls)
+        out.m = m
+        out.terms = terms
+        return out
 
     @classmethod
     def one(cls, m):
@@ -54,8 +73,8 @@ class HeckeElem:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, LaurentPoly.zero()) + c
-        return HeckeElem(self.m, out)
+            add_term(out, w, c)
+        return HeckeElem._wrap(self.m, out)
 
     def __sub__(self, other):
         return self + other.scale(LaurentPoly.integer(-1))
@@ -64,29 +83,22 @@ class HeckeElem:
         return HeckeElem(self.m, {w: c * x for w, x in self.terms.items()})
 
     def times_gen(self, i):
-        out = {}
-        for w, c in self.terms.items():
-            ws = apply_right_s(w, i)
-            if right_ascent(w, i):
-                out[ws] = out.get(ws, LaurentPoly.zero()) + c
-            else:
-                out[ws] = out.get(ws, LaurentPoly.zero()) + c
-                out[w] = out.get(w, LaurentPoly.zero()) + OMEGA * c
-        return HeckeElem(self.m, out)
+        return HeckeElem._wrap(self.m, _times_gen(self.terms, i))
 
     def times_basis_word(self, word):
-        out = self
+        terms = self.terms
         for i in word:
-            out = out.times_gen(i)
-        return out
+            terms = _times_gen(terms, i)
+        return HeckeElem._wrap(self.m, terms)
 
     def __mul__(self, other):
         if self.m != other.m:
             raise ValueError("degree mismatch")
-        out = HeckeElem(self.m)
+        out = {}
         for w, c in other.terms.items():
-            out = out + self.scale(c).times_basis_word(perm_word(w))
-        return out
+            for x, a in self.times_basis_word(perm_word(w)).terms.items():
+                add_term(out, x, a * c)
+        return HeckeElem._wrap(self.m, out)
 
     def star(self):
         """The anti-involution fixing the generators: g_w -> g_{w^{-1}}."""
@@ -168,15 +180,60 @@ def _cell_probe(lam, m):
     everything above the cell and sends X_lam to the fixed nonzero probe
     element z; the coefficient is recovered by exact division.
     """
-    from .combin import conjugate
-
     wcol = perm_word(d_of(column_superstandard(lam)))
     n_el = signed_symmetrizer(conjugate(lam), m)
     z = x_lambda(lam, m).times_basis_word(wcol) * n_el
     if z.is_zero():
         raise AssertionError("degenerate cell probe for %r" % (lam,))
     zref = max(z.terms, key=lambda w: (perm_len(w), w))
-    return wcol, n_el, z, zref
+    return wcol, z, zref
+
+
+@lru_cache(maxsize=None)
+def _value_blocks(mu, m):
+    """The block of mu holding each value 1..m (index 0 unused), the first
+    value of each block, and (-q)^{-l} for every length l in S_m."""
+    block = [None]
+    starts = []
+    for b, part in enumerate(mu):
+        starts.append(len(block))
+        block.extend([b] * part)
+    if len(block) != m + 1:
+        raise ValueError("partition does not fill the degree")
+    signs = tuple(LaurentPoly.monomial((-1) ** (l % 2), -l, 0)
+                  for l in range(m * (m - 1) // 2 + 1))
+    return tuple(block), tuple(starts), signs
+
+
+def times_signed_symmetrizer(elem, mu):
+    """elem * n_mu in closed form.
+
+    Each x is x' y with y in the Young subgroup S_mu and x' the shortest
+    element of x S_mu (the values of every block of mu put in increasing
+    order), lengths adding; so g_x n_mu = (-q)^{-l(y)} g_{x'} n_mu, and
+    g_{x'} n_mu = sum over y of (-q)^{-l(y)} g_{x'y}, whose supports are
+    disjoint for distinct x'.
+    """
+    m = elem.m
+    block, starts, signs = _value_blocks(mu, m)
+    reps = {}
+    for x, c in elem.terms.items():
+        nxt = list(starts)
+        rep = []
+        inv = 0
+        for k, v in enumerate(x):
+            b = block[v]
+            rep.append(nxt[b])
+            nxt[b] += 1
+            for u in x[k + 1:]:
+                if u < v and block[u] == b:
+                    inv += 1
+        add_term(reps, tuple(rep), c * signs[inv])
+    terms = {}
+    for rep, a in reps.items():
+        for y in young_subgroup(mu, m):
+            terms[perm_mul(rep, y)] = a * signs[perm_len(y)]
+    return HeckeElem._wrap(m, terms)
 
 
 def cell_coefficient(elem, lam):
@@ -185,8 +242,9 @@ def cell_coefficient(elem, lam):
     elem must lie in X_lam * H * X_lam + (higher cells); the result is
     exact and the full proportionality is checked.
     """
-    wcol, n_el, z, zref = _cell_probe(lam, elem.m)
-    paired = elem.times_basis_word(wcol) * n_el
+    wcol, z, zref = _cell_probe(lam, elem.m)
+    paired = times_signed_symmetrizer(elem.times_basis_word(wcol),
+                                      conjugate(lam))
     if paired.is_zero():
         return LaurentPoly.zero()
     num = paired.terms.get(zref, LaurentPoly.zero())

@@ -85,34 +85,38 @@ def suite_relations(nmax=5, assoc_samples=1000, seed=20240201):
         T = {i: B.generator("T", i, n) for i in range(1, n)}
         E = {i: B.generator("E", i, n) for i in range(1, n)}
         Ti = {i: B.generator("T_inv", i, n) for i in range(1, n)}
-        ok = True
-        detail = ""
-        try:
-            for i in range(1, n):
-                cubic = (T[i] - one.scale(q(1))) * (T[i] + one.scale(q(-1))) \
-                    * (T[i] - one.scale(rinv))
-                assert cubic.is_zero(), "cubic %d" % i
-                assert E[i] * T[i] == E[i].scale(rinv), "ET %d" % i
-                assert T[i] * E[i] == E[i].scale(rinv), "TE %d" % i
-                assert E[i] * E[i] == E[i].scale(B.DELTA), "EE %d" % i
-                assert one - (T[i] - Ti[i]).scale(LaurentPoly.omega_inv()) == E[i], \
-                    "E definition %d" % i
-            for i in range(1, n):
-                for j in range(1, n):
-                    if abs(i - j) == 1:
-                        assert T[i] * T[j] * T[i] == T[j] * T[i] * T[j], "braid"
-                        assert E[i] * T[j] * E[i] == E[i].scale(rr), "ETE"
-                        assert E[i] * Ti[j] * E[i] == E[i].scale(rinv), "ETiE"
-                        assert E[i] * E[j] * E[i] == E[i], "EEE"
-                        assert T[i] * T[j] * E[i] == E[j] * E[i], "TTE"
-                        assert E[i] * T[j] * T[i] == E[i] * E[j], "ETT"
-                    elif abs(i - j) >= 2:
-                        assert T[i] * T[j] == T[j] * T[i], "TT far"
-                        assert E[i] * E[j] == E[j] * E[i], "EE far"
-                        assert E[i] * T[j] == T[j] * E[i], "ET far"
-        except AssertionError as err:
-            ok = False
-            detail = str(err)
+        checks = []
+        for i in range(1, n):
+            cubic = (T[i] - one.scale(q(1))) * (T[i] + one.scale(q(-1))) \
+                * (T[i] - one.scale(rinv))
+            checks += [
+                ("cubic %d" % i, cubic.is_zero()),
+                ("ET %d" % i, E[i] * T[i] == E[i].scale(rinv)),
+                ("TE %d" % i, T[i] * E[i] == E[i].scale(rinv)),
+                ("EE %d" % i, E[i] * E[i] == E[i].scale(B.DELTA)),
+                ("E definition %d" % i,
+                 one - (T[i] - Ti[i]).scale(LaurentPoly.omega_inv()) == E[i]),
+            ]
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) == 1:
+                    checks += [
+                        ("braid", T[i] * T[j] * T[i] == T[j] * T[i] * T[j]),
+                        ("ETE", E[i] * T[j] * E[i] == E[i].scale(rr)),
+                        ("ETiE", E[i] * Ti[j] * E[i] == E[i].scale(rinv)),
+                        ("EEE", E[i] * E[j] * E[i] == E[i]),
+                        ("TTE", T[i] * T[j] * E[i] == E[j] * E[i]),
+                        ("ETT", E[i] * T[j] * T[i] == E[i] * E[j]),
+                    ]
+                elif abs(i - j) >= 2:
+                    checks += [
+                        ("TT far", T[i] * T[j] == T[j] * T[i]),
+                        ("EE far", E[i] * E[j] == E[j] * E[i]),
+                        ("ET far", E[i] * T[j] == T[j] * E[i]),
+                    ]
+        failed = [label for label, holds in checks if not holds]
+        ok = not failed
+        detail = failed[0] if failed else ""
         out.append(("relations n=%d" % n, ok, detail))
     for n in range(1, 7):
         dims = cell_dims(n)

@@ -129,6 +129,27 @@ def test_filtration(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_level_capped_product(n):
+    """mul_elems with the level cap f is the level <= f part of the full
+    product, since the words of level > f span the ideal J_{f+1}."""
+    words = list(B.all_words(n))
+    coeffs = [L.one(), L.integer(-3), L.q(2) - R,
+              L.omega_inv() * (R + L.q(-1))]
+    rng = random.Random(47)
+
+    def rand_elem():
+        return {rng.choice(words): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 4))}
+
+    for _ in range(40):
+        x, y = rand_elem(), rand_elem()
+        full = B.mul_elems(n, x, y)
+        for f in range(n // 2 + 1):
+            assert B.mul_elems(n, x, y, f) == \
+                {wd: c for wd, c in full.items() if wd[0] <= f}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_jucys_murphy(n):
     Ls = [B.jucys_murphy(i, n) for i in range(1, n + 1)]
     assert Ls[0] == B.BmwElem.one(n).scale(R)

@@ -56,7 +56,7 @@ def test_f0_reduction_to_specht(n):
         assert g.entries == specht_gram(lam, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_inflation_backend(n):
     for f in range(1, n // 2 + 1):
         for lam in partitions(n - 2 * f):

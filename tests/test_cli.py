@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bmwgram
+from bmwgram import cli
 from bmwgram.cli import main
 
 
@@ -103,3 +108,45 @@ def test_verify_dims_suite(capsys):
     rc, out = run(capsys, ["verify", "--suite", "dims"])
     assert rc == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc("rewriting cycle")
+    monkeypatch.setitem(cli.COMMANDS, "dims", fail)
+    rc = main(["dims", "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: rewriting cycle\n"
+
+
+_RELATIONS_SCRIPT = """
+import sys
+from bmwgram import bmw as B, verify as V
+assert False, "asserts must be stripped"
+if sys.argv[1] == "broken":
+    real = B.generator
+    B.generator = lambda kind, i, n: real("T" if kind == "T_inv" else kind,
+                                          i, n)
+for name, ok, detail in V.suite_relations(nmax=3):
+    print("%s: %s %s" % (name, "PASS" if ok else "FAIL", detail))
+"""
+
+
+@pytest.mark.parametrize("mode", ["intact", "broken"])
+def test_relations_suite_under_optimize(mode):
+    """suite_relations reports failures with asserts stripped (python -O);
+    the broken mode makes T_i^{-1} return T_i."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bmwgram.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _RELATIONS_SCRIPT, mode],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if mode == "intact":
+        assert lines and all(": PASS" in line for line in lines)
+    else:
+        assert "relations n=2: FAIL E definition 1" in lines
+        assert "relations n=3: FAIL E definition 1" in lines

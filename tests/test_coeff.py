@@ -42,6 +42,58 @@ def test_ring_axioms_random():
         assert a + b == b + a and a * b == b * a
 
 
+def _ref_mul(a, b):
+    out = {}
+    for (a1, b1), c1 in a.terms.items():
+        for (a2, b2), c2 in b.terms.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return L(out, a.wexp + b.wexp)
+
+
+def _ref_add(a, b):
+    k = max(a.wexp, b.wexp)
+    out = {}
+    for x in (a, b):
+        num = L(x.terms)
+        for _ in range(k - x.wexp):
+            num = _ref_mul(num, W)
+        for key, c in num.terms.items():
+            out[key] = out.get(key, 0) + c
+    return L(out, k)
+
+
+def _assert_canonical(x):
+    assert all(x.terms.values())
+    assert L(dict(x.terms), x.wexp) == x
+
+
+def test_fast_paths_match_canonical_constructor():
+    rng = random.Random(11)
+    pool = [L.zero(), L.one(), L.integer(-1), W, W * W * Q, L.omega_inv(1),
+            L.omega_inv(2), L.q(3), L.monomial(-2, 1, -1),
+            L.monomial(3, -1, 2) * L.omega_inv(1), L.qbracket(2),
+            L.qbracket(3)]
+    pool += [rand_poly(rng, 1) for _ in range(20)]
+    pool += [rand_poly(rng) for _ in range(30)]
+    for a in pool:
+        for b in pool:
+            for got, want in ((a + b, _ref_add(a, b)), (a * b, _ref_mul(a, b))):
+                _assert_canonical(got)
+                assert got == want
+        assert a + (-a) == L.zero()
+        assert L.zero() + a == a and a + L.zero() == a
+        assert a * L.one() == a and L.one() * a == a
+    # w^-k is not 1, and w-powers cancel against the numerator
+    for k in (1, 2):
+        assert L.one() * L.omega_inv(k) == L.omega_inv(k) != L.one()
+    assert W * L.omega_inv(1) == L.one()
+    assert (W * W * Q) * L.omega_inv(3) == Q * L.omega_inv(1)
+    # an equal-wexp sum that w divides loses its denominator
+    total = Q * L.omega_inv(1) + L.q(-1) * L.omega_inv(1) * L.integer(-1)
+    assert total == L.one()
+
+
 def test_canonical_form_idempotent():
     rng = random.Random(7)
     for _ in range(100):

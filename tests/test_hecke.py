@@ -6,7 +6,7 @@ from bmwgram.combin import is_e_restricted, num_std_tableaux, partitions
 from bmwgram.exactla import bareiss_det
 from bmwgram.hecke import (HeckeElem, cell_coefficient, hecke_mul,
                            signed_symmetrizer, specht_gram, specht_rank,
-                           x_lambda, young_subgroup)
+                           times_signed_symmetrizer, x_lambda, young_subgroup)
 
 L = LaurentPoly
 OMEGA = L.omega()
@@ -103,3 +103,19 @@ def test_cell_coefficient_probe():
             x = x_lambda(lam, m)
             c = cell_coefficient(x, lam)
             assert c == L.one()
+
+
+def test_times_signed_symmetrizer_matches_product():
+    # the closed form of elem * n_mu against the generic Hecke product
+    rng = random.Random(5)
+    coeffs = [L.one(), L.integer(-2), OMEGA, L.q(-1), L.monomial(3, 1, -1),
+              L.q(1) + L.r(1), L.omega_inv(1)]
+    for m in range(1, 6):
+        perms = list(itertools.permutations(range(1, m + 1)))
+        for mu in partitions(m):
+            n_el = signed_symmetrizer(mu, m)
+            for _ in range(4):
+                support = rng.sample(perms, min(len(perms), rng.randint(1, 8)))
+                elem = HeckeElem(m, {w: rng.choice(coeffs) for w in support})
+                assert times_signed_symmetrizer(elem, mu) == elem * n_el
+            assert times_signed_symmetrizer(HeckeElem(m), mu).is_zero()
