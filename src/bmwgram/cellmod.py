@@ -13,7 +13,7 @@ on the level-f part of the product.
 from __future__ import annotations
 
 from .bmw import fold_T, mul_elems, star_elem
-from .coeff import LaurentPoly
+from .coeff import EvalPlan, LaurentPoly
 from .combin import (d_of, dfn, partitions, perm_id, perm_word,
                      std_tableaux)
 from .exactla import bareiss_det, gf_rank
@@ -46,15 +46,23 @@ class CellIndex:
 
 
 class GramMatrix:
-    __slots__ = ("cell", "labels", "entries")
+    __slots__ = ("cell", "labels", "entries", "_plan")
 
     def __init__(self, cell, labels, entries):
         self.cell = cell
         self.labels = labels
         self.entries = entries
+        self._plan = None
 
     def dim(self):
         return len(self.labels)
+
+    def plan(self):
+        """The entries compiled for evaluation over GF(p), built on first
+        use and kept with the matrix."""
+        if self._plan is None:
+            self._plan = EvalPlan(self.entries)
+        return self._plan
 
     def substitute_r(self, sign, a):
         ent = [[e.substitute_r(sign, a) for e in row] for row in self.entries]
@@ -204,9 +212,8 @@ def gram_rank(cell, spec):
 
 
 def specialized_rank(gram, spec):
-    p, q0, r0 = spec.p, spec.q0, spec.r0
-    rows = [[e.specialize(p, q0, r0) for e in row] for row in gram.entries]
-    return gf_rank(rows, p)
+    p = spec.p
+    return gf_rank(gram.plan().evaluate(p, spec.q0, spec.r0), p)
 
 
 def central_element(n):

@@ -1,9 +1,9 @@
 """Command line surface.
 
 Subcommands: classify, classify-brauer, gram, dims, verify, oracle, sweep
-and cache.  Output is deterministic; --threads only affects wall time.
-Exit codes: 0 success, 1 domain error or failed internal check (reported
-as one ``error:`` line on stderr), 2 usage error.
+and cache.  Output is deterministic.  Exit codes: 0 success, 1 domain
+error or failed internal check (reported as one ``error:`` line on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ def build_parser():
     ap.add_argument("--output", choices=["json", "text", "csv"],
                     default="text")
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker pool size (never changes output)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="singularity of (r, q) for degree n")
@@ -132,7 +130,6 @@ def build_parser():
     s = sub.add_parser("sweep", help="oracle vs classifier agreement sweep")
     s.add_argument("--nmax", type=int, default=4)
     s.add_argument("--primes", default="2,3,5,7,11,13")
-    s.add_argument("--dedup", action="store_true")
 
     k = sub.add_parser("cache", help="structure constant cache management")
     k.add_argument("--warm", type=int, help="precompute for this degree")
@@ -263,22 +260,10 @@ def cmd_oracle(args):
 
 def cmd_sweep(args):
     primes = tuple(int(x) for x in args.primes.split(","))
-    ns = tuple(range(2, args.nmax + 1))
-    jobs = [(n, spec) for n in ns for spec in OR.sweep_specs(primes)]
-
-    def work(job):
-        n, spec = job
-        rep = OR.singular_oracle(n, spec)
-        verdict = CL.classify_bmw(n, spec)
-        return (n, str(spec), rep.singular, verdict.singular)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(job) for job in jobs]
-    disagreements = [row for row in rows if row[2] != row[3]]
+    rows, disagreements = OR.agreement_sweep(ns=range(2, args.nmax + 1),
+                                             primes=primes)
+    disagreements = [(n, str(spec), rep.singular, verdict.singular)
+                     for n, spec, rep, verdict in disagreements]
     if args.output == "csv":
         print("n,spec,oracle,classifier")
         for n, spec, a, b in rows:

@@ -13,6 +13,8 @@ of r) or a concrete one (p, q0, r0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 
 def _strip(terms):
@@ -312,6 +314,65 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
+def _power_table(x, lo, size, p):
+    """[x^lo, x^(lo+1), ..., x^(lo+size-1)] over GF(p)."""
+    out = [pow(x, lo, p)]
+    for _ in range(size - 1):
+        out.append(out[-1] * x % p)
+    return out
+
+
+class EvalPlan:
+    """A matrix of LaurentPoly entries compiled for repeated evaluation at
+    q = q0, r = r0 over GF(p).
+
+    ``index`` points every position at one of the distinct entries; each
+    distinct entry keeps its integer coefficients, the positions of its
+    monomials q^a r^b in a table over the matrix's exponent box, and its
+    power of w.  An evaluation builds that table once, evaluates each
+    distinct entry once and fills the matrix by index, with the same
+    residues as ``LaurentPoly.specialize`` entry by entry.
+    """
+
+    __slots__ = ("index", "distinct", "qlo", "qlen", "rlo", "rlen", "wmax")
+
+    def __init__(self, rows):
+        slots = {}
+        self.index = [[slots.setdefault(e, len(slots)) for e in row]
+                      for row in rows]
+        keys = [k for e in slots for k in e.terms] or [(0, 0)]
+        self.qlo = min(a for a, _ in keys)
+        self.qlen = max(a for a, _ in keys) - self.qlo + 1
+        self.rlo = min(b for _, b in keys)
+        self.rlen = max(b for _, b in keys) - self.rlo + 1
+        self.wmax = max((e.wexp for e in slots), default=0)
+        self.distinct = [
+            (tuple(e.terms.values()),
+             tuple((a - self.qlo) * self.rlen + b - self.rlo
+                   for a, b in e.terms),
+             e.wexp)
+            for e in slots]
+
+    def evaluate(self, p, q0, r0):
+        """The matrix at q = q0, r = r0 over GF(p), as rows of residues."""
+        q0 %= p
+        r0 %= p
+        if q0 == 0 or r0 == 0:
+            raise ValueError("q0 and r0 must be invertible")
+        w0 = (q0 - pow(q0, -1, p)) % p
+        if w0 == 0:
+            raise ValueError("w = q - q^-1 must be invertible (q0^2 != 1)")
+        rpow = _power_table(r0, self.rlo, self.rlen, p)
+        table = [qa * rb % p
+                 for qa in _power_table(q0, self.qlo, self.qlen, p)
+                 for rb in rpow]
+        wpow = _power_table(pow(w0, -1, p), 0, self.wmax + 1, p)
+        at = table.__getitem__
+        vals = [sum(map(mul, cs, map(at, ix))) * wpow[k] % p
+                for cs, ix, k in self.distinct]
+        return [list(map(vals.__getitem__, row)) for row in self.index]
+
+
 def render_terms(terms):
     parts = []
     for (a, b) in sorted(terms, reverse=True):
@@ -501,6 +562,7 @@ class PrimeFieldElem:
         return PrimeFieldElem(pow(self.residue, k, self.p), self.p)
 
 
+@lru_cache(maxsize=None)
 def multiplicative_order(x, p):
     x %= p
     if x == 0:

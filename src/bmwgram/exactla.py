@@ -77,29 +77,48 @@ def bareiss_det(matrix):
 
 
 def gf_rank(rows, p):
-    """Rank over GF(p) of an integer matrix (list of row lists)."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
+    """Rank over GF(p) of an integer matrix (list of row lists).
+
+    Forward elimination: each pivot clears its column only in the rows not
+    yet used as pivots, is never normalized, and updates only the columns
+    to its right.  A row is packed into one integer with a field of
+    ``width`` bits per remaining column, the leftmost column lowest, so one
+    multiply-add updates a whole row and a shift drops the finished column.
+    Only pivot rows are reduced mod p; every other field grows by at most
+    (p-1)^2 per pivot, and ``width`` has room for min(rows, columns)
+    pivots, so no field carries into the next.
+    """
+    if not rows or not rows[0]:
         return 0
-    ncols = len(m[0])
+    ncols = len(rows[0])
+    width = (p - 1 + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    rest = []
+    for row in rows:
+        packed = 0
+        for x in reversed(row):
+            packed = packed << width | x % p
+        rest.append(packed)
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for row in range(rank, len(m)):
-            if m[row][col]:
-                piv = row
+    for _ in range(ncols):
+        for i, row in enumerate(rest):
+            if (row & mask) % p:
                 break
-        if piv is None:
+        else:
+            rest = [row >> width for row in rest]
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for row in range(len(m)):
-            if row != rank and m[row][col]:
-                c = m[row][col]
-                m[row] = [(a - c * b) % p for a, b in zip(m[row], m[rank])]
+        piv = rest.pop(i)
         rank += 1
-        if rank == len(m):
+        neg_inv = -pow(piv & mask, -1, p)
+        tail = shift = 0
+        piv >>= width
+        while piv:
+            tail |= (piv & mask) % p << shift
+            piv >>= width
+            shift += width
+        rest = [(row >> width) + (row & mask) * neg_inv % p * tail
+                for row in rest]
+        if not rest:
             break
     return rank
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 import itertools
 
-from .coeff import LaurentPoly, add_term
+from .coeff import EvalPlan, LaurentPoly, add_term
 from .combin import (apply_right_s, conjugate, d_of, perm_id, perm_inv,
                      perm_len, perm_mul, perm_word, right_ascent,
                      std_tableaux)
@@ -297,7 +297,12 @@ def specht_rank(lam, spec):
     """Dimension of the simple head: rank of the specialized Gram matrix."""
     if not spec.is_concrete():
         raise ValueError("rank needs a concrete spec")
-    gram = specht_gram(lam)
-    p, q0 = spec.p, spec.q0
-    rows = [[e.specialize(p, q0, 1) for e in row] for row in gram]
-    return gf_rank(rows, p)
+    p = spec.p
+    plan = _specht_plan(tuple(lam), sum(lam))
+    return gf_rank(plan.evaluate(p, spec.q0, 1), p)
+
+
+@lru_cache(maxsize=None)
+def _specht_plan(lam, m):
+    """The Specht Gram matrix compiled for evaluation over GF(p)."""
+    return EvalPlan(specht_gram(lam, m))

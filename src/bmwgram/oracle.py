@@ -102,41 +102,19 @@ def sweep_specs(primes=DEFAULT_PRIMES):
     return out
 
 
-def dedup_key(n, spec):
-    """Regime invariants sufficient for the classification at degree n:
-    ord(q^2), sign of q^e, the set of signed powers with r = ±q^a, and the
-    root conditions entering the exceptional clauses."""
-    e = spec.order_qsq()
-    rels = []
-    acc = 1
-    p, q0, r0 = spec.p, spec.q0, spec.r0
-    for a in range(e):
-        if r0 == acc:
-            rels.append((1, a))
-        if (r0 + acc) % p == 0:
-            rels.append((-1, a))
-        acc = acc * q0 % p
-    conds = tuple(spec.q_power_is(m, -1) for m in (4, 6, 8))
-    return (e, spec.sign_q_to_e(), tuple(rels), p == 2, conds)
-
-
-def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES, dedup=False):
+def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
     """Compare the oracle against the closed-form classification.
 
     Returns (rows, disagreements): rows are (n, spec, oracle verdict,
+    classifier verdict), disagreements are (n, spec, oracle report,
     classifier verdict).
     """
     from .classify import classify_bmw
     rows = []
     disagreements = []
+    specs = sweep_specs(primes)
     for n in ns:
-        seen = set()
-        for spec in sweep_specs(primes):
-            if dedup:
-                key = (n,) + dedup_key(n, spec)
-                if key in seen:
-                    continue
-                seen.add(key)
+        for spec in specs:
             rep = singular_oracle(n, spec)
             verdict = classify_bmw(n, spec)
             rows.append((n, spec, rep.singular, verdict.singular))

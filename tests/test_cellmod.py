@@ -120,3 +120,32 @@ def test_central_element_scalar(n):
             for a in range(gram.dim()):
                 for b in range(gram.dim()):
                     assert twisted.entries[a][b] == sigma * gram.entries[a][b]
+
+
+def test_compiled_evaluation_matches_specialize():
+    """Every Gram at n <= 4 and every Specht Gram at m <= 4, evaluated
+    through its compiled plan, equals LaurentPoly.specialize entry by
+    entry at every sweep spec."""
+    from bmwgram.hecke import _specht_plan
+    from bmwgram.oracle import sweep_specs
+    cases = []
+    for n in range(1, 5):
+        for cell in CM.cell_dims(n):
+            g = CM.gram_matrix(cell)
+            cases.append((g.entries, g.plan(), False))
+    for m in range(1, 5):
+        for lam in partitions(m):
+            cases.append((specht_gram(lam), _specht_plan(lam, m), True))
+    entries = [e for rows, _plan, _specht in cases for row in rows
+               for e in row]
+    assert any(e.is_zero() for e in entries)
+    assert any(a < 0 for e in entries for a, _b in e.terms)
+    assert any(b < 0 for e in entries for _a, b in e.terms)
+    top = CM.gram_matrix(CM.CellIndex(4, 2, ()))
+    assert max(e.wexp for row in top.entries for e in row) == 2
+    for spec in sweep_specs((2, 3, 5, 7, 11)):
+        p, q0 = spec.p, spec.q0
+        for rows, plan, specht in cases:
+            r0 = 1 if specht else spec.r0
+            assert plan.evaluate(p, q0, r0) == \
+                [[e.specialize(p, q0, r0) for e in row] for row in rows]

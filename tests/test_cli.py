@@ -8,6 +8,7 @@ import pytest
 import bmwgram
 from bmwgram import cli
 from bmwgram.cli import main
+from bmwgram.oracle import DEFAULT_MAX_N, agreement_sweep
 
 
 def run(capsys, argv):
@@ -85,13 +86,17 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_sweep_deterministic_under_threads(capsys):
-    rc1, out1 = run(capsys, ["--output", "csv", "sweep", "--nmax", "2",
-                             "--primes", "5"])
-    rc2, out2 = run(capsys, ["--output", "csv", "--threads", "4", "sweep",
-                             "--nmax", "2", "--primes", "5"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+def test_sweep_output_matches_agreement_sweep(capsys):
+    rows, disagreements = agreement_sweep(ns=(2, 3), primes=(2, 5))
+    assert not disagreements
+    argv = ["sweep", "--nmax", "3", "--primes", "2,5"]
+    rc, out = run(capsys, ["--output", "csv"] + argv)
+    assert rc == 0
+    assert out.splitlines() == ["n,spec,oracle,classifier"] + [
+        '%d,"%s",%s,%s' % row for row in rows]
+    rc, out = run(capsys, ["--output", "json"] + argv)
+    assert rc == 0
+    assert json.loads(out) == {"rows": len(rows), "disagreements": []}
 
 
 def test_cache_warm(tmp_path, capsys):
@@ -150,3 +155,16 @@ def test_relations_suite_under_optimize(mode):
     else:
         assert "relations n=2: FAIL E definition 1" in lines
         assert "relations n=3: FAIL E definition 1" in lines
+
+
+@pytest.mark.xfail(strict=True, reason="bmw._we_cached raises a spurious "
+                   "'rewriting cycle' on a cold level-3 word at n = 7")
+def test_gram_n7_top_cell_cold():
+    """A cold n = 7 Gram matrix, inside the oracle's degree bound."""
+    assert DEFAULT_MAX_N >= 7
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bmwgram.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bmwgram.cli", "gram",
+                           "--n", "7", "--f", "3", "--lambda", "(1)"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
