@@ -69,17 +69,6 @@ def split_wv(n, f, z):
     return w, v
 
 
-def is_canonical(n, f, z):
-    m = n - 2 * f
-    prev = 0
-    for k in range(f):
-        x, y = z[m + 2 * k], z[m + 2 * k + 1]
-        if x > y or x < prev:
-            return False
-        prev = x
-    return True
-
-
 def word_tokens(n, word):
     """Generator tokens whose product is the word."""
     f, u, w, v = word
@@ -539,22 +528,11 @@ class BmwElem:
     def is_zero(self):
         return not self.terms
 
-    def min_level(self):
-        return min((wd[0] for wd in self.terms), default=None)
-
-    def truncate_level(self, f):
-        """Terms of filtration level exactly f."""
-        return BmwElem(self.n, {wd: c for wd, c in self.terms.items() if wd[0] == f})
-
     def __repr__(self):
         bits = []
         for wd in sorted(self.terms):
             bits.append("(%s)*%s" % (self.terms[wd], (wd[0], wd[1], wd[2], wd[3])))
         return "BmwElem[n=%d: %s]" % (self.n, " + ".join(bits) or "0")
-
-
-def bmw_mul(x, y):
-    return x * y
 
 
 def generator(kind, i, n):
@@ -565,10 +543,6 @@ def e_fn(f, n):
     if not 0 <= 2 * f <= n:
         raise ValueError("need 0 <= 2f <= n")
     return BmwElem(n, {word_efn(n, f): ONE})
-
-
-def star(x):
-    return x.star()
 
 
 def jucys_murphy(i, n):
@@ -584,7 +558,6 @@ def jucys_murphy(i, n):
 
 def hecke_image(x):
     """Quotient by the contraction ideal: drop every word with f >= 1."""
-    out = HeckeElem(x.n)
     terms = {}
     for (f, _u, w, _v), c in x.terms.items():
         if f == 0:
@@ -626,63 +599,3 @@ def phi_f(u, v, f, n):
     _PHI[key] = out
     return out
 
-
-# ---------------------------------------------------------------------------
-# structure-constant cache
-# ---------------------------------------------------------------------------
-
-CACHE_FORMAT = 1
-BACKEND_ID = "tower-rewrite"
-
-
-def canonical_word_index(n):
-    """Deterministic word ordering: f ascending, then u, w, v enumeration."""
-    return {wd: k for k, wd in enumerate(all_words(n))}
-
-
-def warm(n):
-    """Precompute all word-by-generator products for degree n."""
-    for wd in all_words(n):
-        for i in range(1, n):
-            _wt_cached(n, wd, i)
-            _we_cached(n, wd, i)
-
-
-def save_cache(n, path):
-    import json
-    index = canonical_word_index(n)
-    words = list(index)
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": CACHE_FORMAT, "backend": BACKEND_ID,
-                             "n": n, "basis": len(words)}) + "\n")
-        for wd in words:
-            for kind, table in (("T", _WT), ("E", _WE)):
-                for i in range(1, n):
-                    res = table.get((n, wd, i, kind))
-                    if res is None:
-                        continue
-                    row = [[index[w2], str(c)] for w2, c in sorted(res.items())]
-                    fh.write(json.dumps([index[wd], kind, i, row]) + "\n")
-
-
-def load_cache(n, path):
-    """Load a cache file; ignored (returns False) on any mismatch."""
-    import json
-    from .coeff import parse_poly
-    try:
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            if (header.get("format") != CACHE_FORMAT
-                    or header.get("backend") != BACKEND_ID
-                    or header.get("n") != n
-                    or header.get("basis") != basis_size(n)):
-                return False
-            words = list(all_words(n))
-            for line in fh:
-                widx, kind, i, row = json.loads(line)
-                res = {words[w2]: parse_poly(c) for w2, c in row}
-                table = _WT if kind == "T" else _WE
-                table[(n, words[widx], i, kind)] = res
-    except (OSError, ValueError, KeyError):
-        return False
-    return True

@@ -17,11 +17,17 @@ from .coeff import EvalPlan, LaurentPoly
 from .combin import (d_of, dfn, partitions, perm_id, perm_word,
                      std_tableaux)
 from .exactla import bareiss_det, gf_rank
-from .hecke import (HeckeElem, cell_coefficient, hecke_mul, x_lambda,
+from .hecke import (HeckeElem, cell_coefficient, specht_gram, x_lambda,
                     young_subgroup)
 from . import bmw as _bmw
 
-SYMBOLIC_DET_LIMIT = 64
+# Input budgets.  Past them the work grows beyond what a command can finish,
+# so callers get a ValueError up front instead of a hang.
+SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a Bareiss determinant
+DEFAULT_MAX_N = 7         # largest degree the oracle accepts
+DIMS_MAX_N = 30           # largest degree of cell_dims: 0.8 s at n = 30
+                          # and 6 s at 40 (2-vCPU VM, CPython 3.11); n = 200
+                          # would enumerate p(200) ~ 4e12 partitions
 
 
 class CellIndex:
@@ -29,7 +35,9 @@ class CellIndex:
 
     def __init__(self, n, f, lam):
         lam = tuple(lam)
-        if not (0 <= 2 * f <= n) or sum(lam) != n - 2 * f:
+        if (not (0 <= 2 * f <= n) or sum(lam) != n - 2 * f
+                or any(part <= 0 for part in lam)
+                or any(a < b for a, b in zip(lam, lam[1:]))):
             raise ValueError("invalid cell (%d, %r) for degree %d" % (f, lam, n))
         self.n = n
         self.f = f
@@ -95,6 +103,8 @@ def cell_labels(cell):
 def cell_dims(n):
     """dim of every cell module: |Std(lam)| * |D_{f,n}|."""
     from .combin import num_std_tableaux, dfn_size
+    if not 0 <= n <= DIMS_MAX_N:
+        raise ValueError("degree %d outside the budget 0..%d" % (n, DIMS_MAX_N))
     out = {}
     for f in range(n // 2 + 1):
         for lam in partitions(n - 2 * f):
@@ -141,6 +151,20 @@ def _extract(cell, elem):
 
 
 def gram_matrix(cell):
+    """Gram matrix of the invariant form on the cell module.
+
+    At f = 0 the cell module is the Specht module of the Hecke quotient, so
+    the matrix is hecke.specht_gram: the entries of direct_gram, without
+    the products of the full Young-symmetrizer rows.  f >= 1 goes through
+    direct_gram.
+    """
+    if cell.f == 0:
+        return GramMatrix(cell, cell_labels(cell),
+                          specht_gram(cell.lam, cell.n))
+    return direct_gram(cell)
+
+
+def direct_gram(cell):
     """Gram matrix of the invariant form, computed inside the algebra.
 
     Every product is taken modulo J_{f+1}, the span of the normal words of
@@ -187,8 +211,7 @@ def gram_via_inflation(cell):
         for b, (t, v) in enumerate(labels):
             if b < a:
                 continue
-            mid = hecke_mul(lefts[s], phis[(u, v)])
-            prod = hecke_mul(mid, lefts[t].star())
+            prod = lefts[s] * phis[(u, v)] * lefts[t].star()
             val = cell_coefficient(prod, lam)
             entries[a][b] = val
             entries[b][a] = val

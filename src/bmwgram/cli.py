@@ -1,7 +1,7 @@
 """Command line surface.
 
-Subcommands: classify, classify-brauer, gram, dims, verify, oracle, sweep
-and cache.  Output is deterministic.  Exit codes: 0 success, 1 domain
+Subcommands: classify, classify-brauer, gram, dims, verify, oracle and
+sweep.  Output is deterministic.  Exit codes: 0 success, 1 domain
 error or failed internal check (reported as one ``error:`` line on
 stderr), 2 usage error.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bmw as B
@@ -19,8 +18,6 @@ from . import classify as CL
 from . import oracle as OR
 from . import verify as V
 from .coeff import ParamSpec
-
-CACHE_ENV = "BMWGRAM_CACHE_DIR"
 
 
 def _parse_partition(text):
@@ -90,7 +87,6 @@ def build_parser():
                                              "and singular parameters.")
     ap.add_argument("--output", choices=["json", "text", "csv"],
                     default="text")
-    ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="singularity of (r, q) for degree n")
@@ -130,19 +126,7 @@ def build_parser():
     s = sub.add_parser("sweep", help="oracle vs classifier agreement sweep")
     s.add_argument("--nmax", type=int, default=4)
     s.add_argument("--primes", default="2,3,5,7,11,13")
-
-    k = sub.add_parser("cache", help="structure constant cache management")
-    k.add_argument("--warm", type=int, help="precompute for this degree")
-    k.add_argument("--info", action="store_true")
     return ap
-
-
-def _cache_path(args, n):
-    base = args.cache_dir
-    if not base:
-        return None
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, "bmw-n%d-v%d.jsonl" % (n, B.CACHE_FORMAT))
 
 
 def cmd_classify(args):
@@ -168,9 +152,6 @@ def cmd_classify_brauer(args):
 def cmd_gram(args):
     lam = _parse_partition(args.lam)
     cell = CM.CellIndex(args.n, args.f, lam)
-    path = _cache_path(args, args.n)
-    if path and os.path.exists(path):
-        B.load_cache(args.n, path)
     gram = CM.gram_matrix(cell)
     if args.subst:
         key, _, val = args.subst.partition("=")
@@ -278,30 +259,6 @@ def cmd_sweep(args):
     return 0 if not disagreements else 1
 
 
-def cmd_cache(args):
-    if args.warm:
-        n = args.warm
-        B.warm(n)
-        path = _cache_path(args, n)
-        if path:
-            B.save_cache(n, path)
-            print("warmed n=%d, cache written to %s" % (n, path))
-        else:
-            print("warmed n=%d (in memory only; set --cache-dir or %s)"
-                  % (n, CACHE_ENV))
-        return 0
-    if args.info:
-        base = args.cache_dir
-        if not base or not os.path.isdir(base):
-            print("no cache directory")
-            return 0
-        for name in sorted(os.listdir(base)):
-            print(os.path.join(base, name))
-        return 0
-    print("nothing to do; use --warm N or --info")
-    return 0
-
-
 COMMANDS = {
     "classify": cmd_classify,
     "classify-brauer": cmd_classify_brauer,
@@ -310,7 +267,6 @@ COMMANDS = {
     "verify": cmd_verify,
     "oracle": cmd_oracle,
     "sweep": cmd_sweep,
-    "cache": cmd_cache,
 }
 
 

@@ -271,9 +271,6 @@ class LaurentPoly:
             unit = unit * LaurentPoly.omega_inv(-wpow)
         return unit, LaurentPoly(core_terms)
 
-    def unit_core(self):
-        return self.normalize_unit()[1]
-
     # -- specialization ---------------------------------------------------
     def substitute_r(self, sign, a):
         """Replace r by sign * q^a; result is a Laurent polynomial in q."""
@@ -507,7 +504,7 @@ def parse_poly(s):
 
 
 # ---------------------------------------------------------------------------
-# prime field elements
+# prime fields
 # ---------------------------------------------------------------------------
 
 def is_prime(p):
@@ -519,47 +516,6 @@ def is_prime(p):
             return False
         d += 1
     return True
-
-
-@dataclass(frozen=True)
-class PrimeFieldElem:
-    residue: int
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("modulus %d is not prime" % self.p)
-        object.__setattr__(self, "residue", self.residue % self.p)
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElem):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.residue
-        return int(other)
-
-    def __add__(self, other):
-        return PrimeFieldElem(self.residue + self._coerce(other), self.p)
-
-    def __sub__(self, other):
-        return PrimeFieldElem(self.residue - self._coerce(other), self.p)
-
-    def __mul__(self, other):
-        return PrimeFieldElem(self.residue * self._coerce(other), self.p)
-
-    def inv(self):
-        if self.residue == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return PrimeFieldElem(pow(self.residue, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = PrimeFieldElem(self._coerce(other), self.p)
-        return self * o.inv()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        return PrimeFieldElem(pow(self.residue, k, self.p), self.p)
 
 
 @lru_cache(maxsize=None)
@@ -676,11 +632,6 @@ class ParamSpec:
             return self.q_power_is(m, 1)
         return self.q_power_is(m, sign)
 
-    def r_defined(self):
-        if self.is_concrete():
-            return True
-        return self.r_sign != 0
-
     def r_equals(self, sign, a):
         """Decide r = sign * q^a; None if symbolic data cannot tell."""
         if self.is_concrete():
@@ -790,28 +741,3 @@ def eval_sign_condition(m, sign, spec):
         val = s
     return val == sign
 
-
-# spec-facing functional aliases ------------------------------------------
-
-def lp_arith(x, y, op):
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError("unknown op %r" % op)
-
-
-def lp_normalize_unit(x):
-    return x.normalize_unit()
-
-
-def lp_substitute_r(x, sign, a):
-    return x.substitute_r(sign, a)
-
-
-def lp_specialize(x, spec):
-    if not spec.is_concrete():
-        raise ValueError("specialization needs a concrete spec")
-    return PrimeFieldElem(x.specialize(spec.p, spec.q0, spec.r0), spec.p)

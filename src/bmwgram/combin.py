@@ -179,11 +179,6 @@ def content(lam, node):
     return LaurentPoly({(2 * (j - i), 1): 1})
 
 
-def content_exponent(node):
-    i, j = node
-    return 2 * (j - i)
-
-
 # ---------------------------------------------------------------------------
 # standard tableaux
 # ---------------------------------------------------------------------------
@@ -216,10 +211,6 @@ def std_tableaux(lam):
 
     fill_all(1)
     return out
-
-
-def tableau_shape(t):
-    return tuple(len(row) for row in t)
 
 
 def d_of(t):

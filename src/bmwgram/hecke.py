@@ -82,9 +82,6 @@ class HeckeElem:
     def scale(self, c):
         return HeckeElem(self.m, {w: c * x for w, x in self.terms.items()})
 
-    def times_gen(self, i):
-        return HeckeElem._wrap(self.m, _times_gen(self.terms, i))
-
     def times_basis_word(self, word):
         terms = self.terms
         for i in word:
@@ -112,10 +109,6 @@ class HeckeElem:
             return "HeckeElem(0)"
         bits = ["(%s)*g%s" % (c, list(w)) for w, c in sorted(self.terms.items())]
         return "HeckeElem(%s)" % " + ".join(bits)
-
-
-def hecke_mul(x, y):
-    return x * y
 
 
 @lru_cache(maxsize=None)

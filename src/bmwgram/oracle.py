@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cellmod import CellIndex, cell_dims, gram_matrix, specialized_rank
+from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims, gram_matrix,
+                      specialized_rank)
 from .coeff import ParamSpec
 from .combin import dfn_size, is_e_restricted, partitions
 from .hecke import specht_rank
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
-DEFAULT_MAX_N = 7
 
 
 @dataclass
@@ -50,13 +50,14 @@ def _gram(n, f, lam):
     return _GRAM_CACHE[key]
 
 
-def singular_oracle(n, spec, max_n=DEFAULT_MAX_N):
+def singular_oracle(n, spec):
     """Scan every level f >= 1 and e-restricted shape, comparing induced
     and simple dimensions."""
     if not spec.is_concrete():
         raise ValueError("the oracle needs a concrete spec")
-    if n > max_n:
-        raise ValueError("degree %d above the oracle bound %d" % (n, max_n))
+    if n > DEFAULT_MAX_N:
+        raise ValueError("degree %d above the oracle bound %d"
+                         % (n, DEFAULT_MAX_N))
     e = spec.order_qsq()
     table = []
     first = None

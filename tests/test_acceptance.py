@@ -10,44 +10,29 @@ ground field; the check is nevertheless implemented exactly as stated, so
 that subcase fails honestly.
 """
 
-import itertools
-import random
-
 import pytest
 
-from bmwgram import bmw as B
 from bmwgram import cellmod as CM
 from bmwgram import classify as CL
 from bmwgram import verify as V
-from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import (dfn_size, is_admissible, is_e_restricted,
-                            num_std_tableaux, partitions)
-from bmwgram.hecke import specht_rank
-from bmwgram.oracle import agreement_sweep, sweep_specs, _gram
-from bmwgram.cellmod import specialized_rank
-
-ONE = LaurentPoly.one()
+from bmwgram.oracle import agreement_sweep, _gram
 
 
 def report(name, ok):
     print("%s: %s" % (name, "PASS" if ok else "FAIL"))
 
 
-_GRAMS = {}
-
-
-def _gram_cached(n, f, lam):
-    key = (n, f, lam)
-    if key not in _GRAMS:
-        _GRAMS[key] = CM.gram_matrix(CM.CellIndex(n, f, lam))
-    return _GRAMS[key]
+def assert_suite(name, results):
+    ok = all(passed for _name, passed, _detail in results)
+    report(name, ok)
+    assert ok, [r for r in results if not r[1]]
 
 
 @pytest.mark.parametrize("name,cell,sub,expected", V.b1_cases(),
                          ids=[c[0] for c in V.b1_cases()])
 def test_criterion_1_b1_formulas(name, cell, sub, expected):
     n, f, lam = cell
-    det = CM.gram_det(_gram_cached(n, f, lam).substitute_r(*sub))
+    det = CM.gram_det(_gram(n, f, lam).substitute_r(*sub))
     got = det.normalize_unit()[1]
     want = expected.normalize_unit()[1]
     ok = got == want
@@ -58,7 +43,7 @@ def test_criterion_1_b1_formulas(name, cell, sub, expected):
 def test_criterion_2_top_cell_vanishing():
     ok = True
     for n in (2, 4):
-        g = _gram_cached(n, n // 2, ())
+        g = _gram(n, n // 2, ())
         for sub in ((1, -1), (-1, 1)):
             ok = ok and CM.gram_det(g.substitute_r(*sub)).is_zero()
     report("criterion 2 (top cell determinant vanishes, n in {2,4})", ok)
@@ -66,10 +51,8 @@ def test_criterion_2_top_cell_vanishing():
 
 
 def test_criterion_3_algebra_soundness():
-    results = V.suite_relations(nmax=5, assoc_samples=1000)
-    ok = all(passed for _n, passed, _d in results)
-    report("criterion 3 (relations, dimension count, associativity)", ok)
-    assert ok, [r for r in results if not r[1]]
+    assert_suite("criterion 3 (relations, dimension count, associativity)",
+                 V.suite_relations(nmax=5, assoc_samples=1000))
 
 
 def test_criterion_4_oracle_agreement():
@@ -82,91 +65,23 @@ def test_criterion_4_oracle_agreement():
 
 
 def test_criterion_5_inflation_consistency():
-    ok = True
-    for n in range(2, 5):
-        for f in range(1, n // 2 + 1):
-            for lam in partitions(n - 2 * f):
-                cell = CM.CellIndex(n, f, lam)
-                if CM.gram_matrix(cell).entries != \
-                        CM.gram_via_inflation(cell).entries:
-                    ok = False
-    # degree-f product structure matches the inflation multiplication
-    from bmwgram.hecke import HeckeElem, hecke_mul
-    for n in range(2, 5):
-        for f in range(1, n // 2 + 1):
-            m = n - 2 * f
-            words = [w for w in B.all_words(n) if w[0] == f]
-            for w1 in words:
-                for w2 in words:
-                    prod = B.BmwElem.from_word(n, w1) * B.BmwElem.from_word(n, w2)
-                    level = {wd: c for wd, c in prod.terms.items()
-                             if wd[0] == f}
-                    h = hecke_mul(HeckeElem(m, {w1[2]: ONE}),
-                                  hecke_mul(B.phi_f(w1[3], w2[1], f, n),
-                                            HeckeElem(m, {w2[2]: ONE})))
-                    expect = {(f, w1[1], ww, w2[3]): c
-                              for ww, c in h.terms.items()}
-                    if level != expect:
-                        ok = False
-    report("criterion 5 (inflation Gram and product structure, n <= 4)", ok)
-    assert ok
+    assert_suite("criterion 5 (inflation Gram and product structure, n <= 4)",
+                 V.suite_inflation(nmax=4))
 
 
 def test_criterion_6_witness_validation():
-    count = 0
-    bad = []
-    for n in (2, 3, 4, 5):
-        for spec in sweep_specs((2, 3, 5, 7, 11, 13)):
-            e = spec.order_qsq()
-            if e is None or e > n - 2 or not spec.r_signed_power():
-                continue
-            count += 1
-            (l, mu), (f, lam) = CL.b3_witness(n, spec)
-            dim = num_std_tableaux(lam) * dfn_size(f, n)
-            rank = specialized_rank(_gram(n, f, lam), spec)
-            if not (rank < dim and is_admissible(mu, lam, f - l, spec)):
-                bad.append((n, str(spec)))
-    ok = not bad and count > 0
-    report("criterion 6 (witness cells, %d reachable regimes)" % count, ok)
-    assert ok, bad[:5]
+    assert_suite("criterion 6 (witness cells over the reachable regimes)",
+                 V.suite_witnesses())
 
 
 def test_criterion_7_hecke_layer():
-    ok = True
-    for spec in sweep_specs((2, 3, 5, 7, 11, 13)):
-        e = spec.order_qsq()
-        for m in range(1, 6):
-            for lam in partitions(m):
-                rank = specht_rank(lam, spec)
-                if e is not None and e > m and rank != num_std_tableaux(lam):
-                    ok = False
-                if (rank > 0) != is_e_restricted(lam, e):
-                    ok = False
-    report("criterion 7 (Specht ranks over the sweep)", ok)
-    assert ok
+    assert_suite("criterion 7 (Specht ranks over the sweep)",
+                 V.suite_hecke())
 
 
 def test_criterion_8_central_element():
-    ok = True
-    for n in (2, 3, 4):
-        z = CM.central_element(n)
-        for kind in ("T", "E"):
-            for i in range(1, n):
-                g = B.generator(kind, i, n)
-                if z * g != g * z:
-                    ok = False
-        for f in range(n // 2 + 1):
-            for lam in partitions(n - 2 * f):
-                cell = CM.CellIndex(n, f, lam)
-                twisted = CM.central_twisted_gram(cell, z)
-                gram = _gram_cached(n, f, lam)
-                sigma = CM.central_scalar(cell)
-                for a in range(gram.dim()):
-                    for b in range(gram.dim()):
-                        if twisted.entries[a][b] != sigma * gram.entries[a][b]:
-                            ok = False
-    report("criterion 8 (central element commutes and acts by contents)", ok)
-    assert ok
+    assert_suite("criterion 8 (central element commutes and acts by contents)",
+                 V.suite_central(nmax=4))
 
 
 def test_criterion_9_brauer_classifier():

@@ -7,6 +7,7 @@ import pytest
 
 import bmwgram
 from bmwgram import cli
+from bmwgram.cellmod import DIMS_MAX_N
 from bmwgram.cli import main
 from bmwgram.oracle import DEFAULT_MAX_N, agreement_sweep
 
@@ -99,14 +100,39 @@ def test_sweep_output_matches_agreement_sweep(capsys):
     assert json.loads(out) == {"rows": len(rows), "disagreements": []}
 
 
-def test_cache_warm(tmp_path, capsys):
-    rc, out = run(capsys, ["--cache-dir", str(tmp_path), "cache",
-                           "--warm", "2"])
+@pytest.mark.parametrize("f,lam", [(0, "(1,2)"), (1, "(-1,2)"),
+                                   (1, "(1,0)"), (0, "(2,1,0)")])
+def test_gram_rejects_non_partition(capsys, f, lam):
+    rc = main(["gram", "--n", "3", "--f", str(f), "--lambda", lam])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid cell")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [-3, -1, DIMS_MAX_N + 1, 200])
+def test_dims_rejects_out_of_budget(capsys, n):
+    rc = main(["dims", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree %d outside the budget" % n)
+
+
+@pytest.mark.parametrize("n", [0, DIMS_MAX_N])
+def test_dims_in_budget(capsys, n):
+    rc, out = run(capsys, ["--output", "json", "dims", "--n", str(n)])
     assert rc == 0
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    rc, out = run(capsys, ["--cache-dir", str(tmp_path), "cache", "--info"])
-    assert rc == 0 and files[0].name in out
+    data = json.loads(out)
+    assert data["sum_of_squares"] == data["double_factorial"]
+
+
+def test_cache_subcommand_is_gone():
+    with pytest.raises(SystemExit) as err:
+        main(["cache", "--warm", "2"])
+    assert err.value.code == 2
 
 
 def test_verify_dims_suite(capsys):
