@@ -6,12 +6,12 @@ from .coeff import LaurentPoly, ParamSpec, parse_poly
 from .bmw import BmwElem, e_fn, generator, hecke_image, jucys_murphy, \
     phi_f
 from .cellmod import CellIndex, GramMatrix, cell_dims, gram_det, \
-    gram_matrix, gram_rank, gram_via_inflation
+    gram_matrix, gram_rank
 from .classify import Verdict, b3_witness, classify_bmw, classify_brauer, \
     delta_of, nonzero_gram_criterion, set_S, set_Z, simple_labels
 from .combin import dfn, forbidden_r_values, hook_lengths, is_admissible, \
     is_e_restricted, nu_ep, partitions, std_tableaux
-from .hecke import HeckeElem, specht_gram, specht_rank, x_lambda
+from .hecke import HeckeElem, x_lambda
 from .oracle import OracleReport, agreement_sweep, radical_dims, \
     singular_oracle
 

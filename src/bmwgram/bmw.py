@@ -565,24 +565,15 @@ def hecke_image(x):
     return HeckeElem(x.n, terms)
 
 
-_PHI = {}
-
-
 def phi_f(u, v, f, n):
     """The tower bilinear form: the Hecke element h with
     E^{f,n} T_u T_v^* E^{f,n} = E^{f,n} h modulo the contraction ideal of
-    the small algebra.
+    the small algebra; phi_0 = 1, and phi_f(v, u) = phi_f(u, v)^*.
 
     The product is taken modulo J_{f+1}, the span of the words of level
     > f: that span is a two-sided ideal, so dropping it after every
     generator leaves the level-f words, which are all that h reads, exact.
     """
-    key = (u, v, f, n)
-    hit = _PHI.get(key)
-    if hit is not None:
-        return hit
-    if f < 1:
-        raise ValueError("needs f >= 1")
     if u not in dfn(f, n) or v not in dfn(f, n):
         raise ValueError("arguments must lie in the dangle transversal")
     m = n - 2 * f
@@ -595,7 +586,5 @@ def phi_f(u, v, f, n):
     for (ff, uu, ww, vv), c in elem.items():
         if ff == f and uu == idn and vv == idn:
             terms[ww] = c
-    out = HeckeElem(m, terms)
-    _PHI[key] = out
-    return out
+    return HeckeElem(m, terms)
 

@@ -1,13 +1,17 @@
 """Cell modules: Gram matrices, determinants and ranks.
 
-A cell is (f, lam) with lam a partition of n - 2f.  The module has basis
-indexed by standard tableaux of shape lam times the dangle transversal;
-the Gram entry for ((s,u),(t,v)) is the coefficient of E^{f,n} X_lam in
+A cell is (f, lam) with lam a partition of m = n - 2f.  The module has
+basis indexed by standard tableaux of shape lam times the dangle transversal
+D_{f,n}; the Gram entry for ((s,u),(t,v)) is the coefficient of
+E^{f,n} X_lam in
 
     E^{f,n} X_lam T_{d(s)} T_u  *  (E^{f,n} X_lam T_{d(t)} T_v)^*
 
-modulo higher cells, which reduces to a Hecke-cell coefficient extraction
-on the level-f part of the product.
+modulo higher cells.  In the inflation picture (Koenig-Xi) that is
+<g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_f the tower form and <h>_lam
+the X_lam-coefficient of X_lam h X_lam in the Hecke algebra of S_m:
+gram_matrix reads every cell so, and direct_gram, the product inside the
+algebra, is kept as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ from .coeff import EvalPlan, LaurentPoly
 from .combin import (d_of, dfn, partitions, perm_id, perm_word,
                      std_tableaux)
 from .exactla import bareiss_det, gf_rank
-from .hecke import (HeckeElem, cell_coefficient, specht_gram, x_lambda,
-                    young_subgroup)
+from .hecke import HeckeElem, cell_coefficient, cell_form, young_subgroup
 from . import bmw as _bmw
 
 # Input budgets.  Past them the work grows beyond what a command can finish,
 # so callers get a ValueError up front instead of a hang.
 SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a Bareiss determinant
-DEFAULT_MAX_N = 7         # largest degree the oracle accepts
+DEFAULT_MAX_N = 7         # largest degree of gram_matrix, the oracle and sweep
 DIMS_MAX_N = 30           # largest degree of cell_dims: 0.8 s at n = 30
                           # and 6 s at 40 (2-vCPU VM, CPython 3.11); n = 200
                           # would enumerate p(200) ~ 4e12 partitions
@@ -151,21 +154,41 @@ def _extract(cell, elem):
 
 
 def gram_matrix(cell):
-    """Gram matrix of the invariant form on the cell module.
-
-    At f = 0 the cell module is the Specht module of the Hecke quotient, so
-    the matrix is hecke.specht_gram: the entries of direct_gram, without
-    the products of the full Young-symmetrizer rows.  f >= 1 goes through
-    direct_gram.
-    """
-    if cell.f == 0:
-        return GramMatrix(cell, cell_labels(cell),
-                          specht_gram(cell.lam, cell.n))
-    return direct_gram(cell)
+    """Gram matrix of the invariant form on the cell module: entry
+    ((s, u), (t, v)) is <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_0 = 1,
+    one Hecke product read term by term through hecke.cell_value."""
+    n, f, lam = cell.n, cell.f, cell.lam
+    if n > DEFAULT_MAX_N:
+        raise ValueError("degree %d outside the budget 0..%d"
+                         % (n, DEFAULT_MAX_N))
+    m = n - 2 * f
+    tabs = std_tableaux(lam)
+    lefts = {s: HeckeElem.basis(m, d_of(s)) for s in tabs}
+    rights = {t: tuple(reversed(perm_word(d_of(t)))) for t in tabs}
+    labels = cell_labels(cell)
+    index = {label: k for k, label in enumerate(labels)}
+    entries = [[None] * len(labels) for _ in labels]
+    dangles = dfn(f, n)
+    for u in dangles:
+        for v in dangles:
+            if v < u:   # the transposed entries, filled by symmetry
+                continue
+            phi = _bmw.phi_f(u, v, f, n)
+            for s in tabs:
+                left = lefts[s] * phi
+                a = index[(s, u)]
+                for t in tabs:
+                    b = index[(t, v)]
+                    if entries[a][b] is None:
+                        val = cell_form(left.times_basis_word(rights[t]), lam)
+                        entries[a][b] = val
+                        entries[b][a] = val
+    return GramMatrix(cell, labels, entries)
 
 
 def direct_gram(cell):
-    """Gram matrix of the invariant form, computed inside the algebra.
+    """Gram matrix of the invariant form, computed inside the algebra: the
+    reference that the tests hold gram_matrix to.
 
     Every product is taken modulo J_{f+1}, the span of the normal words of
     level > f: the row elements are cut to level f and the words above it
@@ -183,36 +206,6 @@ def direct_gram(cell):
         for b in range(a, size):
             prod = mul_elems(n, rows[a], cols[b], f)
             val = _extract(cell, prod)
-            entries[a][b] = val
-            entries[b][a] = val
-    return GramMatrix(cell, labels, entries)
-
-
-def gram_via_inflation(cell):
-    """Gram matrix assembled from the tower bilinear form and the Hecke
-    layer: entry = coefficient of X_lam in
-    X_lam g_{d(s)} phi_f(u, v) g_{d(t)}^* X_lam."""
-    if cell.f < 1:
-        raise ValueError("inflation backend needs f >= 1")
-    n, f, lam = cell.n, cell.f, cell.lam
-    m = n - 2 * f
-    labels = cell_labels(cell)
-    x = x_lambda(lam, m)
-    lefts = {}
-    for t in std_tableaux(lam):
-        lefts[t] = x.times_basis_word(perm_word(d_of(t)))
-    phis = {}
-    for u in dfn(f, n):
-        for v in dfn(f, n):
-            phis[(u, v)] = _bmw.phi_f(u, v, f, n)
-    size = len(labels)
-    entries = [[None] * size for _ in range(size)]
-    for a, (s, u) in enumerate(labels):
-        for b, (t, v) in enumerate(labels):
-            if b < a:
-                continue
-            prod = lefts[s] * phis[(u, v)] * lefts[t].star()
-            val = cell_coefficient(prod, lam)
             entries[a][b] = val
             entries[b][a] = val
     return GramMatrix(cell, labels, entries)

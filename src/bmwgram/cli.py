@@ -201,8 +201,9 @@ def cmd_dims(args):
     _emit(args, payload,
           ["f=%d lambda=%-12s dim=%d" % (f, str(list(lam)), d)
            for f, lam, d in rows]
-          + ["sum of squares = %d (%d!! check: %d)"
-             % (total, 2 * args.n - 1, B.basis_size(args.n))])
+          + ["sum of squares = %d (%s!! check: %d)"
+             % (total, 2 * args.n - 1 if args.n else "(-1)",
+                B.basis_size(args.n))])
     return 0
 
 
@@ -240,6 +241,9 @@ def cmd_oracle(args):
 
 
 def cmd_sweep(args):
+    if not 2 <= args.nmax <= CM.DEFAULT_MAX_N:
+        raise ValueError("nmax %d outside the budget 2..%d"
+                         % (args.nmax, CM.DEFAULT_MAX_N))
     primes = tuple(int(x) for x in args.primes.split(","))
     rows, disagreements = OR.agreement_sweep(ns=range(2, args.nmax + 1),
                                              primes=primes)

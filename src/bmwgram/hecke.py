@@ -15,11 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 import itertools
 
-from .coeff import EvalPlan, LaurentPoly, add_term
+from .coeff import LaurentPoly, add_term
 from .combin import (apply_right_s, conjugate, d_of, perm_id, perm_inv,
-                     perm_len, perm_mul, perm_word, right_ascent,
-                     std_tableaux)
-from .exactla import gf_rank
+                     perm_len, perm_mul, perm_word, right_ascent)
 
 OMEGA = LaurentPoly.omega()
 
@@ -259,43 +257,50 @@ def _ratio(a, b):
     return _divexact(anum, bnum)
 
 
-def specht_gram(lam, m=None):
-    """Gram matrix of the invariant form on the cell module of shape lam.
+def cell_form(elem, lam):
+    """<elem>_lam: the coefficient c with X_lam elem X_lam = c X_lam modulo
+    the higher cells, read term by term through cell_value."""
+    total = LaurentPoly.zero()
+    for w, c in elem.terms.items():
+        total = total + c * cell_value(lam, w)
+    return total
 
-    Entry (s, t) is the coefficient of X_lam inside
-    X_lam g_{d(s)} (g_{d(t)})^* X_lam, modulo higher cells.
+
+@lru_cache(maxsize=None)
+def cell_value(lam, w):
+    """<g_w>_lam, kept in a table filled only for the w met.
+
+    w factors as a d b with a, b in the Young subgroup S_lam, d the
+    shortest element of S_lam w S_lam and the lengths adding (Dipper-James
+    1986; Mathas, ULECT 15, ch. 3).  As g_a X_lam = q^{l(a)} X_lam =
+    X_lam g_a, <g_w> = q^{l(w)-l(d)} c_d with c_d = <g_d>.  c_1 is the sum
+    over S_lam of q^{2 l(y)}; every other c_d is one cell_coefficient call.
     """
-    if m is None:
-        m = sum(lam)
-    return [list(row) for row in _specht_gram_cached(tuple(lam), m)]
-
-
-@lru_cache(maxsize=None)
-def _specht_gram_cached(lam, m):
-    tabs = std_tableaux(lam)
+    m = len(w)
+    d = double_coset_min(lam, w)
+    if d != w:
+        return cell_value(lam, d) * LaurentPoly.q(perm_len(w) - perm_len(d))
+    if d == perm_id(m):
+        return sum((LaurentPoly.q(2 * perm_len(y))
+                    for y in young_subgroup(lam, m)), LaurentPoly.zero())
     x = x_lambda(lam, m)
-    rows = [x.times_basis_word(perm_word(d_of(t))) for t in tabs]
-    size = len(tabs)
-    gram = [[None] * size for _ in range(size)]
-    for si in range(size):
-        for ti in range(si, size):
-            prod = rows[si] * rows[ti].star()
-            val = cell_coefficient(prod, lam)
-            gram[si][ti] = val
-            gram[ti][si] = val
-    return tuple(tuple(row) for row in gram)
+    return cell_coefficient(x.times_basis_word(perm_word(d)) * x, lam)
 
 
-def specht_rank(lam, spec):
-    """Dimension of the simple head: rank of the specialized Gram matrix."""
-    if not spec.is_concrete():
-        raise ValueError("rank needs a concrete spec")
-    p = spec.p
-    plan = _specht_plan(tuple(lam), sum(lam))
-    return gf_rank(plan.evaluate(p, spec.q0, 1), p)
-
-
-@lru_cache(maxsize=None)
-def _specht_plan(lam, m):
-    """The Specht Gram matrix compiled for evaluation over GF(p)."""
-    return EvalPlan(specht_gram(lam, m))
+def double_coset_min(lam, w):
+    """The shortest element of S_lam w S_lam: each row block of positions
+    takes, value block by value block, the smallest values not yet placed,
+    as many as w puts there."""
+    block, nxt, _signs = _value_blocks(lam, len(w))
+    nxt = list(nxt)
+    d = []
+    pos = 0
+    for part in lam:
+        count = [0] * len(lam)
+        for v in w[pos:pos + part]:
+            count[block[v]] += 1
+        for b, c in enumerate(count):
+            d.extend(range(nxt[b], nxt[b] + c))
+            nxt[b] += c
+        pos += part
+    return tuple(d)

@@ -15,7 +15,6 @@ from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims, gram_matrix,
                       specialized_rank)
 from .coeff import ParamSpec
 from .combin import dfn_size, is_e_restricted, partitions
-from .hecke import specht_rank
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -55,8 +54,8 @@ def singular_oracle(n, spec):
     and simple dimensions."""
     if not spec.is_concrete():
         raise ValueError("the oracle needs a concrete spec")
-    if n > DEFAULT_MAX_N:
-        raise ValueError("degree %d above the oracle bound %d"
+    if not 0 <= n <= DEFAULT_MAX_N:
+        raise ValueError("degree %d outside the budget 0..%d"
                          % (n, DEFAULT_MAX_N))
     e = spec.order_qsq()
     table = []
@@ -66,7 +65,8 @@ def singular_oracle(n, spec):
         for lam in partitions(n - 2 * f):
             if not is_e_restricted(lam, e):
                 continue
-            dim_head = specht_rank(lam, spec) if lam else 1
+            dim_head = (specialized_rank(_gram(n - 2 * f, 0, lam), spec)
+                        if lam else 1)
             dim_induced = dfn_size(f, n) * dim_head
             dim_simple = specialized_rank(_gram(n, f, lam), spec)
             table.append((f, lam, dim_induced, dim_simple))

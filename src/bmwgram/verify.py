@@ -14,7 +14,6 @@ from . import cellmod as CM
 from . import classify as CL
 from .coeff import LaurentPoly
 from .combin import is_admissible, num_std_tableaux, dfn_size, partitions
-from .hecke import specht_rank
 from .oracle import agreement_sweep, sweep_specs, _gram
 from .cellmod import specialized_rank, cell_dims
 
@@ -199,7 +198,7 @@ def suite_hecke(primes=(5, 7, 11, 13)):
         e = spec.order_qsq()
         for m in range(1, 6):
             for lam in partitions(m):
-                rank = specht_rank(lam, spec)
+                rank = specialized_rank(_gram(m, 0, lam), spec)
                 if e is not None and e > m:
                     if rank != num_std_tableaux(lam):
                         bad.append((str(spec), lam, "semisimple rank"))
@@ -243,7 +242,7 @@ def suite_inflation(nmax=4):
             for lam in partitions(n - 2 * f):
                 cell = CM.CellIndex(n, f, lam)
                 ga = CM.gram_matrix(cell)
-                gb = CM.gram_via_inflation(cell)
+                gb = CM.direct_gram(cell)
                 out.append(("inflation backend cell (%d, %s) n=%d" % (f, lam, n),
                             ga.entries == gb.entries, ""))
     # product structure against the tower form

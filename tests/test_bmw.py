@@ -5,7 +5,7 @@ import pytest
 
 from bmwgram import bmw as B
 from bmwgram.coeff import LaurentPoly
-from bmwgram.combin import dfn, perm_id
+from bmwgram.combin import dfn, perm_id, perm_word
 from bmwgram.hecke import HeckeElem
 
 L = LaurentPoly
@@ -186,9 +186,23 @@ def test_phi_f_examples():
     assert ph.m == 1 and list(ph.terms.values()) == [B.DELTA]
 
 
+def _phi_reference(u, v, f, n):
+    """E^{f,n} T_u T_v^* E^{f,n} by full products, read at level f."""
+    e = B.e_fn(f, n)
+    x = B.BmwElem(n, B.fold_T(n, e.terms, perm_word(u)))
+    x = B.BmwElem(n, B.fold_T(n, x.terms, list(reversed(perm_word(v))))) * e
+    idn = perm_id(n)
+    return HeckeElem(n - 2 * f, {w: c for (ff, uu, w, vv), c in x.terms.items()
+                                 if ff == f and uu == idn and vv == idn})
+
+
 @pytest.mark.parametrize("n,f", [(2, 1), (3, 1), (4, 1), (4, 2)])
 def test_phi_f_symmetry(n, f):
+    """phi_f (products capped at level f) equals the uncapped product, and
+    phi_f(v, u) = phi_f(u, v)^*, which gram_matrix relies on."""
     for u in dfn(f, n):
         for v in dfn(f, n):
-            assert B.phi_f(u, v, f, n).star() == B.phi_f(v, u, f, n)
+            ref = _phi_reference(u, v, f, n)
+            assert B.phi_f(u, v, f, n) == ref
+            assert B.phi_f(v, u, f, n).star() == ref
 

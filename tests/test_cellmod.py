@@ -4,7 +4,6 @@ from bmwgram import cellmod as CM
 from bmwgram.bmw import DELTA, basis_size
 from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import partitions
-from bmwgram.hecke import specht_gram, specht_rank
 
 L = LaurentPoly
 
@@ -51,8 +50,8 @@ def test_gram_symmetry(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_f0_reduction_to_specht(n):
-    """The f = 0 Gram matrix comes from the Hecke layer; the direct
-    in-algebra construction is the reference."""
+    """The f = 0 Gram matrix is the Specht module's; the direct in-algebra
+    construction is the reference."""
     for lam in partitions(n):
         cell = CM.CellIndex(n, 0, lam)
         g, ref = CM.gram_matrix(cell), CM.direct_gram(cell)
@@ -65,7 +64,7 @@ def test_inflation_backend(n):
         for lam in partitions(n - 2 * f):
             cell = CM.CellIndex(n, f, lam)
             assert CM.gram_matrix(cell).entries == \
-                CM.gram_via_inflation(cell).entries
+                CM.direct_gram(cell).entries
 
 
 def test_top_cell_vanishing():
@@ -89,10 +88,11 @@ def test_gram_rank_examples():
     assert CM.gram_rank(CM.CellIndex(3, 1, (1,)), ParamSpec.concrete(5, 2, 3)) == 3
     spec = ParamSpec.concrete(5, 2, 3)   # r0 = q0^{-1}
     assert CM.gram_rank(CM.CellIndex(2, 1, ()), spec) == 0
-    for n in (2, 3, 4):
-        for lam in partitions(n):
-            assert CM.gram_rank(CM.CellIndex(n, 0, lam), spec) == \
-                specht_rank(lam, spec)
+    specht_ranks = {(2,): 0, (1, 1): 1, (3,): 0, (2, 1): 2, (1, 1, 1): 1,
+                    (4,): 0, (3, 1): 0, (2, 2): 0, (2, 1, 1): 2,
+                    (1, 1, 1, 1): 1}
+    for lam, rank in specht_ranks.items():
+        assert CM.gram_rank(CM.CellIndex(sum(lam), 0, lam), spec) == rank
 
 
 def test_matrix_json_roundtrip():
@@ -126,29 +126,23 @@ def test_central_element_scalar(n):
 
 
 def test_compiled_evaluation_matches_specialize():
-    """Every Gram at n <= 4 and every Specht Gram at m <= 4, evaluated
-    through its compiled plan, equals LaurentPoly.specialize entry by
-    entry at every sweep spec."""
-    from bmwgram.hecke import _specht_plan
+    """Every Gram at n <= 4 (the Specht Grams are its f = 0 cells),
+    evaluated through its compiled plan, equals LaurentPoly.specialize
+    entry by entry at every sweep spec."""
     from bmwgram.oracle import sweep_specs
     cases = []
     for n in range(1, 5):
         for cell in CM.cell_dims(n):
             g = CM.gram_matrix(cell)
-            cases.append((g.entries, g.plan(), False))
-    for m in range(1, 5):
-        for lam in partitions(m):
-            cases.append((specht_gram(lam), _specht_plan(lam, m), True))
-    entries = [e for rows, _plan, _specht in cases for row in rows
-               for e in row]
+            cases.append((g.entries, g.plan()))
+    entries = [e for rows, _plan in cases for row in rows for e in row]
     assert any(e.is_zero() for e in entries)
     assert any(a < 0 for e in entries for a, _b in e.terms)
     assert any(b < 0 for e in entries for _a, b in e.terms)
     top = CM.gram_matrix(CM.CellIndex(4, 2, ()))
     assert max(e.wexp for row in top.entries for e in row) == 2
     for spec in sweep_specs((2, 3, 5, 7, 11)):
-        p, q0 = spec.p, spec.q0
-        for rows, plan, specht in cases:
-            r0 = 1 if specht else spec.r0
+        p, q0, r0 = spec.p, spec.q0, spec.r0
+        for rows, plan in cases:
             assert plan.evaluate(p, q0, r0) == \
                 [[e.specialize(p, q0, r0) for e in row] for row in rows]

@@ -129,6 +129,35 @@ def test_dims_in_budget(capsys, n):
     assert data["sum_of_squares"] == data["double_factorial"]
 
 
+def test_dims_zero_label(capsys):
+    rc, out = run(capsys, ["dims", "--n", "0"])
+    assert rc == 0
+    assert out.splitlines() == ["f=0 lambda=[]           dim=1",
+                                "sum of squares = 1 ((-1)!! check: 1)"]
+
+
+_REGIME = ["--p", "5", "--q0", "2", "--r0", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "-2"] + _REGIME,
+    ["oracle", "--n", str(DEFAULT_MAX_N + 1)] + _REGIME,
+    ["sweep", "--nmax", "-1"],
+    ["sweep", "--nmax", "1"],
+    ["sweep", "--nmax", str(DEFAULT_MAX_N + 1)],
+    ["gram", "--n", str(DEFAULT_MAX_N + 1), "--f", "4", "--lambda", "()"],
+    ["gram", "--n", "9", "--f", "0", "--lambda", "(9)"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_degree_budgets(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "outside the budget" in lines[0]
+    assert lines[0].startswith("error: ")
+
+
 def test_cache_subcommand_is_gone():
     with pytest.raises(SystemExit) as err:
         main(["cache", "--warm", "2"])

@@ -1,15 +1,28 @@
 import itertools
 import random
 
+import pytest
+
+from bmwgram.cellmod import CellIndex, gram_matrix, gram_rank
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import is_e_restricted, num_std_tableaux, partitions
+from bmwgram.combin import (is_e_restricted, num_std_tableaux, partitions,
+                            perm_len, perm_mul, perm_word)
 from bmwgram.exactla import bareiss_det
-from bmwgram.hecke import (HeckeElem, cell_coefficient,
-                           signed_symmetrizer, specht_gram, specht_rank,
+from bmwgram.hecke import (HeckeElem, cell_coefficient, cell_form,
+                           cell_value, double_coset_min, signed_symmetrizer,
                            times_signed_symmetrizer, x_lambda, young_subgroup)
 
 L = LaurentPoly
 OMEGA = L.omega()
+
+
+def specht_gram(lam):
+    """The Specht Gram matrix: the f = 0 cell of degree |lam|."""
+    return gram_matrix(CellIndex(sum(lam), 0, lam)).entries
+
+
+def specht_rank(lam, spec):
+    return gram_rank(CellIndex(sum(lam), 0, lam), spec)
 
 
 def test_quadratic_relation():
@@ -119,3 +132,24 @@ def test_times_signed_symmetrizer_matches_product():
                 elem = HeckeElem(m, {w: rng.choice(coeffs) for w in support})
                 assert times_signed_symmetrizer(elem, mu) == elem * n_el
             assert times_signed_symmetrizer(HeckeElem(m), mu).is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cell_value_double_coset_table(m):
+    """<g_w>_lam read from the double-coset table equals the coefficient
+    of X_lam g_w X_lam for every w in S_m, and the table's d is the
+    shortest element of the double coset listed in full.  (m = 5 takes
+    about 43 s, nearly all of it in the reference products.)"""
+    perms = list(itertools.permutations(range(1, m + 1)))
+    for lam in partitions(m):
+        x = x_lambda(lam, m)
+        young = young_subgroup(lam, m)
+        for w in perms:
+            want = cell_coefficient(x.times_basis_word(perm_word(w)) * x, lam)
+            assert cell_value(lam, w) == want, (lam, w)
+            assert cell_form(HeckeElem.basis(m, w).scale(OMEGA), lam) == \
+                OMEGA * want
+            coset = {perm_mul(perm_mul(a, w), b) for a in young for b in young}
+            d = double_coset_min(lam, w)
+            assert d in coset
+            assert perm_len(d) == min(perm_len(y) for y in coset)

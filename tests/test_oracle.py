@@ -2,7 +2,6 @@ import pytest
 
 from bmwgram.cellmod import CellIndex, cell_dims
 from bmwgram.coeff import ParamSpec
-from bmwgram.hecke import specht_rank
 from bmwgram.oracle import (OracleReport, radical_dims, singular_oracle,
                             sweep_specs)
 
@@ -30,8 +29,9 @@ def test_report_invariants():
 
 
 def test_oracle_bound():
-    with pytest.raises(ValueError):
-        singular_oracle(8, ParamSpec.concrete(5, 2, 3))
+    for n in (-2, -1, 8):
+        with pytest.raises(ValueError):
+            singular_oracle(n, ParamSpec.concrete(5, 2, 3))
 
 
 def test_radical_dims():
@@ -50,12 +50,15 @@ def test_radical_dims():
 
 def test_f0_rows_match_specht():
     spec = ParamSpec.concrete(7, 3, 2)
+    specht_ranks = {(2,): 1, (1, 1): 1, (3,): 0, (2, 1): 1, (1, 1, 1): 1,
+                    (4,): 0, (3, 1): 3, (2, 2): 1, (2, 1, 1): 3,
+                    (1, 1, 1, 1): 1}
     for n in (2, 3, 4):
         rads = radical_dims(n, spec)
         dims = cell_dims(n)
         for cell, dim in dims.items():
             if cell.f == 0:
-                assert dim - rads[cell] == specht_rank(cell.lam, spec)
+                assert dim - rads[cell] == specht_ranks[cell.lam]
 
 
 def test_sweep_specs_exclude_bad_q():
