@@ -26,7 +26,10 @@ from . import bmw as _bmw
 
 # Input budgets.  Past them the work grows beyond what a command can finish,
 # so callers get a ValueError up front instead of a hang.
-SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a Bareiss determinant
+SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a symbolic determinant:
+                          # the 45-dimensional n = 6 cells already take up
+                          # to 90 s (2-vCPU VM, CPython 3.11), and n = 7
+                          # cells reach dimension 210
 DEFAULT_MAX_N = 7         # largest degree of gram_matrix, the oracle and sweep
 DIMS_MAX_N = 30           # largest degree of cell_dims: 0.8 s at n = 30
                           # and 6 s at 40 (2-vCPU VM, CPython 3.11); n = 200

@@ -42,9 +42,12 @@ def _parse_rform(text):
         text = text[1:]
     if text == "q":
         return (sign, 1)
-    if not text.startswith("q^"):
-        raise ValueError("r must be generic or ±q^a")
-    return (sign, int(text[2:]))
+    if text.startswith("q^"):
+        try:
+            return (sign, int(text[2:]))
+        except ValueError:
+            pass
+    raise ValueError("r must be generic or ±q^a")
 
 
 def _spec_from_args(args):

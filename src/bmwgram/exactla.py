@@ -3,77 +3,103 @@ ranks.  No floating point anywhere."""
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .coeff import LaurentPoly
 
 
-def _divexact(a, b):
-    """Exact division of Laurent polynomials (lex order on exponents)."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    if a.wexp or b.wexp:
-        raise ValueError("divexact expects cleared denominators")
-    rem = dict(a.terms)
-    bl = max(b.terms)
-    blc = b.terms[bl]
-    b_lo = min(b.terms)
-    a_lo = min(a.terms)
-    lo_bound = (a_lo[0] - b_lo[0], a_lo[1] - b_lo[1])
-    quo = {}
-    while rem:
-        al = max(rem)
-        alc = rem[al]
-        key = (al[0] - bl[0], al[1] - bl[1])
-        if alc % blc or key < lo_bound:
-            raise ArithmeticError("inexact division")
-        c = alc // blc
-        quo[key] = c
-        for (x, y), bc in b.terms.items():
-            k2 = (x + key[0], y + key[1])
-            nv = rem.get(k2, 0) - c * bc
-            if nv:
-                rem[k2] = nv
-            elif k2 in rem:
-                del rem[k2]
-    return LaurentPoly(quo)
-
-
 def bareiss_det(matrix):
-    """Exact determinant of a square matrix of LaurentPoly entries.
+    """Exact determinant of a square matrix of LaurentPoly entries, by
+    Kronecker substitution and one fraction-free elimination over Z.
 
-    Clears w-denominators first, then runs fraction-free elimination over
-    the Laurent ring; the cleared powers are divided back out at the end.
+    The entries are brought over their common denominator w^k, and each
+    row is shifted by its lowest exponents of q and of r; the determinant
+    changes by the product of those monomials and w^{-kn}.  Every minor of
+    the shifted matrix, the determinant among them, is then a polynomial
+    of q-degree at most S, the sum of the rows' q-spans.
+
+    Bound: on the torus |q| = |r| = 1 an entry is at most the sum
+    |a_ij|_1 of its absolute coefficients, so Hadamard's inequality bounds
+    every minor there, and with it each of the minor's coefficients, by
+    H = ceil(sqrt(prod_i sum_j |a_ij|_1^2)); no row is zero, so the rows
+    a minor leaves out only raise the product.
+
+    Width and stride: q -> 2^width and r -> 2^(width * (S + 1)) with
+    2^(width - 1) > H send such a polynomial to the integer whose balanced
+    base-2^width digits are its coefficients, q^a r^b at digit
+    a + b (S + 1).  The map is injective on the minors, so Bareiss' pivots
+    and exact divisions over Z are those of the polynomial ring, and the
+    result is exact, with no prime and no probabilistic step (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 8.4; Bareiss, Math.
+    Comp. 22, 1968).
     """
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
-    k = max((e.wexp for row in matrix for e in row), default=0)
-    wk = LaurentPoly.omega() ** k
-    m = [[e * wk for e in row] for row in matrix]
-    sign = 1
-    prev = LaurentPoly.one()
-    for col in range(n - 1):
-        piv = None
-        for row in range(col, n):
-            if not m[row][col].is_zero():
-                piv = row
-                break
-        if piv is None:
+    k = max(e.wexp for row in matrix for e in row)
+    rows = [[e._scaled_numerator(k - e.wexp) for e in row] for row in matrix]
+    lows = []
+    span = 0
+    norm2 = 1
+    for row in rows:
+        keys = [key for terms in row for key in terms]
+        if not keys:
             return LaurentPoly.zero()
+        qlo = min(a for a, _b in keys)
+        lows.append((qlo, min(b for _a, b in keys)))
+        span += max(a for a, _b in keys) - qlo
+        norm2 *= sum(sum(map(abs, terms.values())) ** 2 for terms in row)
+    width = (isqrt(norm2 - 1) + 1).bit_length() + 1
+    stride = width * (span + 1)
+    det = _int_det([[sum(c << width * (a - qlo) + stride * (b - rlo)
+                         for (a, b), c in terms.items())
+                     for terms in row]
+                    for row, (qlo, rlo) in zip(rows, lows)])
+    qshift = sum(a for a, _b in lows)
+    rshift = sum(b for _a, b in lows)
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    out = {}
+    pos = 0
+    while det:
+        digit = det & mask
+        if digit >= half:
+            digit -= 1 << width
+        if digit:
+            b, a = divmod(pos, span + 1)
+            out[(qshift + a, rshift + b)] = digit
+        det = (det - digit) >> width
+        pos += 1
+    return LaurentPoly(out, k * n)
+
+
+def _int_det(m):
+    """Determinant of a square integer matrix by Bareiss' fraction-free
+    elimination; m is overwritten.  Each division is exact, and a nonzero
+    remainder raises ArithmeticError."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for col in range(n):
+        for piv in range(col, n):
+            if m[piv][col]:
+                break
+        else:
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
-        for row in range(col + 1, n):
+        top = m[col]
+        pv = top[col]
+        for row in m[col + 1:]:
+            c = row[col]
             for j in range(col + 1, n):
-                num = m[row][j] * m[col][col] - m[row][col] * m[col][j]
-                m[row][j] = _divexact(num, prev)
-            m[row][col] = LaurentPoly.zero()
-        prev = m[col][col]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return LaurentPoly(det.terms, det.wexp + k * n)
+                quo, rem = divmod(row[j] * pv - c * top[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact division")
+                row[j] = quo
+        prev = pv
+    return sign * prev
 
 
 def gf_rank(rows, p):

@@ -4,10 +4,13 @@ line.  Tolerances are exact throughout (exact arithmetic everywhere).
 Criterion 1 includes the published closed form for the 15-dimensional cell
 at degree 5 whose stated integer content (2^6) differs from the value this
 package computes (2^5).  The computation here is cross-validated by two
-independent Gram constructions and two independent determinant algorithms,
-and the source only asserts those formulas up to invertible scalars of the
-ground field; the check is nevertheless implemented exactly as stated, so
-that subcase fails honestly.
+independent Gram constructions (gram_matrix and direct_gram) and two
+independent determinant algorithms (integer Bareiss after Kronecker
+substitution, and Bareiss over the Laurent ring in tests/test_exactla.py),
+with a sympy determinant in tests/test_cellmod.py as a third.  The source
+only asserts those formulas up to invertible scalars of the ground field;
+the check is nevertheless implemented exactly as stated, so that subcase
+fails honestly.
 """
 
 import pytest

@@ -84,6 +84,30 @@ def test_specialization_commutes_with_det():
             assert det.specialize(p, q0, r0) == gf_det(rows, p)
 
 
+@pytest.mark.parametrize("sub", [(1, -1), (-1, 1)], ids=["r=q^-1", "r=-q"])
+def test_det_g2_1_content_by_sympy(sub):
+    """A third determinant of the known-red G_{2,(1)} at n = 5, by sympy
+    over Z[q]: it equals bareiss_det's, and its integer content is 2^5
+    where the published closed form states 2^6."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from bmwgram.exactla import bareiss_det
+    g = CM.gram_matrix(CM.CellIndex(5, 2, (1,))).substitute_r(*sub)
+    k = max(e.wexp for row in g.entries for e in row)
+    cleared = [[e * L.omega() ** k for e in row] for row in g.entries]
+    shift = L.q(-min(a for row in cleared for e in row for a, _b in e.terms))
+    cleared = [[e * shift for e in row] for row in cleared]
+    q = sympy.Symbol("q")
+    ring = sympy.ZZ[q]
+    dm = DomainMatrix(
+        [[ring.from_sympy(sum(c * q ** a for (a, _b), c in e.terms.items()))
+          for e in row] for row in cleared], (15, 15), ring)
+    det = sympy.Poly(ring.to_sympy(dm.det()), q)
+    assert det.content() == 2 ** 5
+    assert bareiss_det(cleared) == L({(a, 0): int(c)
+                                      for (a,), c in det.terms()})
+
+
 def test_gram_rank_examples():
     assert CM.gram_rank(CM.CellIndex(3, 1, (1,)), ParamSpec.concrete(5, 2, 3)) == 3
     spec = ParamSpec.concrete(5, 2, 3)   # r0 = q0^{-1}

@@ -112,6 +112,20 @@ def test_gram_rejects_non_partition(capsys, f, lam):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--subst", "r=q^"],
+    ["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--subst", "r=-q^x"],
+    ["classify", "--n", "4", "--r", "q^1.5"],
+    ["classify", "--n", "4", "--r", "r"],
+], ids=lambda argv: argv[-1])
+def test_malformed_r(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: r must be generic or ±q^a\n"
+
+
 @pytest.mark.parametrize("n", [-3, -1, DIMS_MAX_N + 1, 200])
 def test_dims_rejects_out_of_budget(capsys, n):
     rc = main(["dims", "--n", str(n)])

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from bmwgram.exactla import gf_det, gf_rank
+from bmwgram.coeff import LaurentPoly
+from bmwgram.exactla import bareiss_det, gf_det, gf_rank
+from bmwgram.hecke import _divexact
 
 PRIMES = (2, 3, 5, 31, 101)
 # (rows, columns, rank of A*B)
@@ -74,3 +76,149 @@ def test_gf_rank_degenerate_shapes():
     assert gf_rank([[0, 14, -7]], 7) == 0
     assert gf_rank([[0, 0, 3]], 7) == 1
     assert gf_rank([[0], [0], [5]], 7) == 1
+
+
+def laurent_bareiss_det(matrix):
+    """The reference determinant: fraction-free elimination over the
+    Laurent ring itself, each update one exact polynomial division."""
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one()
+    k = max((e.wexp for row in matrix for e in row), default=0)
+    wk = LaurentPoly.omega() ** k
+    m = [[e * wk for e in row] for row in matrix]
+    sign = 1
+    prev = LaurentPoly.one()
+    for col in range(n - 1):
+        piv = None
+        for row in range(col, n):
+            if not m[row][col].is_zero():
+                piv = row
+                break
+        if piv is None:
+            return LaurentPoly.zero()
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        for row in range(col + 1, n):
+            for j in range(col + 1, n):
+                num = m[row][j] * m[col][col] - m[row][col] * m[col][j]
+                m[row][j] = _divexact(num, prev)
+            m[row][col] = LaurentPoly.zero()
+        prev = m[col][col]
+    det = m[n - 1][n - 1]
+    if sign < 0:
+        det = -det
+    return LaurentPoly(det.terms, det.wexp + k * n)
+
+
+def _random_entry(rng, nterms, height, wmax):
+    """Up to nterms monomials c q^a r^b with a, b in [-4, 4] and
+    |c| <= height, over w^j with j <= wmax; zero about a quarter of the
+    time."""
+    if rng.random() < 0.25:
+        return LaurentPoly.zero()
+    terms = {(rng.randint(-4, 4), rng.randint(-4, 4)):
+             rng.randint(-height, height) for _ in range(nterms)}
+    return LaurentPoly(terms, rng.randint(0, wmax))
+
+
+def _random_matrix(rng, n, nterms, height, wmax):
+    return [[_random_entry(rng, nterms, height, wmax) for _ in range(n)]
+            for _ in range(n)]
+
+
+def _check_against_reference(matrix):
+    det = bareiss_det(matrix)
+    assert det == laurent_bareiss_det(matrix)
+    for p, q0, r0 in ((1000003, 3, 7), (998244353, 5, 11)):
+        rows = [[e.specialize(p, q0, r0) for e in row] for row in matrix]
+        assert det.specialize(p, q0, r0) == gf_det(rows, p)
+    return det
+
+
+# (monomials per entry, coefficient bound, largest power of w^-1) per size;
+# the large sizes take fewer and sparser cases, as the reference is slow
+RANDOM_CASES = {n: [(3, h, w) for h in (1, 9, 2 ** 40) for w in (0, 1, 3)]
+                for n in range(5)}
+RANDOM_CASES[5] = [(2, 1, 3), (2, 9, 2), (2, 2 ** 40, 1)]
+RANDOM_CASES[6] = [(2, 1, 3), (2, 9, 1), (1, 2 ** 40, 1)]
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_CASES))
+def test_bareiss_det_matches_reference(n):
+    rng = random.Random(7000 + n)
+    for nterms, height, wmax in RANDOM_CASES[n]:
+        _check_against_reference(
+            _random_matrix(rng, n, nterms, height, wmax))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bareiss_det_zero_row_and_rank_deficient(n):
+    rng = random.Random(8000 + n)
+    for trial in range(4):
+        m = _random_matrix(rng, n, 2, 2 ** 40, 1)
+        m[rng.randrange(n)] = [LaurentPoly.zero()] * n
+        assert _check_against_reference(m).is_zero()
+        if n < 2:
+            continue
+        # the last row a combination of the others over the ring, so of
+        # rank at most n - 1
+        m = _random_matrix(rng, n, 2, 9, 2)
+        mult = [_random_entry(rng, 2, 5, 1) for _ in range(n - 1)]
+        m[-1] = [sum((c * row[j] for c, row in zip(mult, m)),
+                     LaurentPoly.zero()) for j in range(n)]
+        assert _check_against_reference(m).is_zero()
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 7, 2 ** 20 - 1, 2 ** 20,
+                               2 ** 20 + 1, 2 ** 40 - 1, 2 ** 40])
+def test_bareiss_det_one_by_one(c):
+    for sign in (1, -1):
+        for a, b, wexp in ((0, 0, 0), (-3, 2, 0), (4, -4, 2)):
+            e = LaurentPoly({(a, b): sign * c}, wexp)
+            assert bareiss_det([[e]]) == e
+        e = LaurentPoly({(0, 0): sign * c, (2, 0): -sign * c, (1, 1): c})
+        assert bareiss_det([[e]]) == e
+
+
+def test_bareiss_det_diagonal():
+    rng = random.Random(9000)
+    for n in range(1, 7):
+        for height in (1, 2 ** 40):
+            diag = [_random_entry(rng, 3, height, 3) or LaurentPoly.one()
+                    for _ in range(n)]
+            m = [[diag[i] if i == j else LaurentPoly.zero()
+                  for j in range(n)] for i in range(n)]
+            want = LaurentPoly.one()
+            for e in diag:
+                want = want * e
+            assert bareiss_det(m) == want
+
+
+def test_bareiss_det_reaches_q_degree_bound():
+    """Triangular matrices whose diagonal entries span their rows: the
+    determinant's q-degree is the sum S of the row q-spans, and its
+    r-terms sit one digit past q^S."""
+    q, r, one = LaurentPoly.q, LaurentPoly.r, LaurentPoly.one()
+    m = [[one + q(), LaurentPoly.zero()], [LaurentPoly.zero(), one + r()]]
+    assert bareiss_det(m) == (one + q()) * (one + r())
+    rng = random.Random(9100)
+    for n in range(1, 6):
+        spans = [rng.randint(0, 4) for _ in range(n)]
+        m = []
+        for i, s in enumerate(spans):
+            row = []
+            for j in range(n):
+                if j < i:
+                    row.append(LaurentPoly.zero())
+                    continue
+                terms = {(rng.randint(0, s), rng.randint(-2, 2)):
+                         rng.randint(-2 ** 40, 2 ** 40)}
+                if j == i:
+                    terms = {(0, 0): -3, (s, 0): 2 ** 40 - 1,
+                             (s, 1): -(2 ** 40)}
+                row.append(LaurentPoly(terms))
+            m.append(row)
+        det = _check_against_reference(m)
+        assert max(a for a, _b in det.terms) == sum(spans)
