@@ -573,6 +573,9 @@ def phi_f(u, v, f, n):
     The product is taken modulo J_{f+1}, the span of the words of level
     > f: that span is a two-sided ideal, so dropping it after every
     generator leaves the level-f words, which are all that h reads, exact.
+
+    One pair, folded from E^{f,n} on: the reference that phi_pairs, which
+    shares the work across v, is tested against.
     """
     if u not in dfn(f, n) or v not in dfn(f, n):
         raise ValueError("arguments must lie in the dangle transversal")
@@ -588,3 +591,74 @@ def phi_f(u, v, f, n):
             terms[ww] = c
     return HeckeElem(m, terms)
 
+
+def dangle_parent(v, f, n):
+    """(parent, i) with v = parent s_i and i the last letter of perm_word(v),
+    for v != 1 in D_{f,n}.  The parent lies in D_{f,n}, one length shorter;
+    a RuntimeError says so if it does not."""
+    i = perm_word(v)[-1]
+    parent = apply_right_s(v, i)
+    if parent not in dfn(f, n) or perm_len(parent) != perm_len(v) - 1:
+        raise RuntimeError("dangle transversal D_{%d,%d} not closed under "
+                           "dropping the last letter of %r" % (f, n, v))
+    return parent, i
+
+
+def phi_pairs(f, n):
+    """Yield (u, v, phi_f(u, v)) for every u <= v in D_{f,n}.
+
+    Write Psi_v(x) for the level-f, dangle-free part of x T_v^* E^{f,n}, so
+    that phi_f(u, v) = Psi_v(E^{f,n} T_u).  With v = parent s_i
+    (dangle_parent), T_v^* = T_i T_parent^*, hence Psi_v(x) =
+    Psi_parent(x T_i): the transversal is a tree rooted at 1, and only the
+    root folds E^{f,n}.
+    Psi is linear, so each node memoizes it word by word; the walk is depth
+    first, and a node's memo lives only while its subtree is open.
+    """
+    dangles = dfn(f, n)
+    idn = perm_id(n)
+    m = n - 2 * f
+    children = {v: [] for v in dangles}
+    for v in dangles:
+        if v != idn:
+            parent, i = dangle_parent(v, f, n)
+            children[parent].append((v, i))
+    # E^{f,n} T_u is the normal word (f, 1, 1, u)
+    heads = [(u, (f, idn, perm_id(m), u)) for u in dangles]
+    contract = [("E", j) for j in range(n - 1, m, -2)]
+
+    def at_root(word):
+        terms = {}
+        for (ff, uu, ww, vv), c in fold(n, {word: ONE}, contract, f).items():
+            if ff == f and uu == idn and vv == idn:
+                terms[ww] = c
+        return terms
+
+    def below(psi_parent, i):
+        def psi(word):
+            terms = {}
+            for wd, d in _wt_cached(n, word, i).items():
+                if wd[0] <= f:
+                    for ww, c in psi_parent(wd).items():
+                        add_term(terms, ww, c * d)
+            return terms
+        return psi
+
+    def memoized(psi):
+        memo = {}
+
+        def cached(word):
+            hit = memo.get(word)
+            if hit is None:
+                hit = memo[word] = psi(word)
+            return hit
+        return cached
+
+    def walk(v, psi):
+        for u, word in heads:
+            if u <= v:
+                yield u, v, HeckeElem(m, psi(word))
+        for child, i in children[v]:
+            yield from walk(child, memoized(below(psi, i)))
+
+    yield from walk(idn, memoized(at_root))

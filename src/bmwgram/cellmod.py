@@ -10,8 +10,9 @@ E^{f,n} X_lam in
 modulo higher cells.  In the inflation picture (Koenig-Xi) that is
 <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_f the tower form and <h>_lam
 the X_lam-coefficient of X_lam h X_lam in the Hecke algebra of S_m:
-gram_matrix reads every cell so, and direct_gram, the product inside the
-algebra, is kept as the reference for the tests.
+gram_matrix reads every cell so, taking the phi_f(u, v) with u <= v from
+one depth-first walk of the dangle tree (bmw.phi_pairs), and direct_gram,
+the product inside the algebra, is kept as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ def _extract(cell, elem):
 def gram_matrix(cell):
     """Gram matrix of the invariant form on the cell module: entry
     ((s, u), (t, v)) is <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_0 = 1,
-    one Hecke product read term by term through hecke.cell_value."""
+    one Hecke product read term by term through hecke.cell_value.  The
+    phi_f(u, v) arrive pair by pair from bmw.phi_pairs."""
     n, f, lam = cell.n, cell.f, cell.lam
     if n > DEFAULT_MAX_N:
         raise ValueError("degree %d outside the budget 0..%d"
@@ -171,21 +173,17 @@ def gram_matrix(cell):
     labels = cell_labels(cell)
     index = {label: k for k, label in enumerate(labels)}
     entries = [[None] * len(labels) for _ in labels]
-    dangles = dfn(f, n)
-    for u in dangles:
-        for v in dangles:
-            if v < u:   # the transposed entries, filled by symmetry
-                continue
-            phi = _bmw.phi_f(u, v, f, n)
-            for s in tabs:
-                left = lefts[s] * phi
-                a = index[(s, u)]
-                for t in tabs:
-                    b = index[(t, v)]
-                    if entries[a][b] is None:
-                        val = cell_form(left.times_basis_word(rights[t]), lam)
-                        entries[a][b] = val
-                        entries[b][a] = val
+    # the pairs u <= v only: the transposed entries are filled by symmetry
+    for u, v, phi in _bmw.phi_pairs(f, n):
+        for s in tabs:
+            left = lefts[s] * phi
+            a = index[(s, u)]
+            for t in tabs:
+                b = index[(t, v)]
+                if entries[a][b] is None:
+                    val = cell_form(left.times_basis_word(rights[t]), lam)
+                    entries[a][b] = val
+                    entries[b][a] = val
     return GramMatrix(cell, labels, entries)
 
 

@@ -211,13 +211,7 @@ def cmd_dims(args):
 
 
 def cmd_verify(args):
-    kwargs = {}
-    if args.nmax is not None:
-        if args.suite == "relations":
-            kwargs["nmax"] = args.nmax
-        elif args.suite == "oracle-agreement":
-            kwargs["ns"] = tuple(range(2, args.nmax + 1))
-    results = V.run_suite(args.suite, **kwargs)
+    results = V.run_suite(args.suite, args.nmax)
     failed = [name for name, ok, _d in results if not ok]
     for name, ok, detail in results:
         line = "%s: %s" % (name, "PASS" if ok else "FAIL")

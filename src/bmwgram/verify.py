@@ -157,8 +157,8 @@ def suite_dims():
     return out
 
 
-def suite_oracle_agreement(ns=(2, 3, 4, 5), primes=(2, 3, 5, 7, 11, 13)):
-    rows, disagreements = agreement_sweep(ns=ns, primes=primes)
+def suite_oracle_agreement(nmax=5, primes=(2, 3, 5, 7, 11, 13)):
+    rows, disagreements = agreement_sweep(ns=range(2, nmax + 1), primes=primes)
     out = [("oracle/classifier agreement (%d regimes)" % len(rows),
             not disagreements,
             "; ".join("n=%d %s" % (n, spec) for n, spec, _a, _b
@@ -292,7 +292,33 @@ SUITES = {
 }
 
 
-def run_suite(name, **kwargs):
+# The suites that take a largest degree nmax, with its budget (smallest,
+# largest).  Measured cold in one process (2-vCPU VM, CPython 3.11):
+# relations takes 7.4 s at nmax = 7, most of it the fixed associativity
+# samples; central 0.3 s at 4 and 19 s at 5; inflation 1.3 s at 4, and its
+# tower check multiplies every pair of level-f words, so n = 5 would not
+# finish.  relations and oracle-agreement share the package's degree bound
+# (sweep --nmax 6 takes 1.4 s; oracle-agreement at 7 stops after 6 s on the
+# n = 7 rewriting cycle of bmw._we_cached, reported as an error).
+NMAX_BUDGETS = {
+    "relations": (2, CM.DEFAULT_MAX_N),
+    "oracle-agreement": (2, CM.DEFAULT_MAX_N),
+    "central": (2, 5),
+    "inflation": (2, 4),
+}
+
+
+def run_suite(name, nmax=None):
+    """The named suite, at its default degrees or up to degree nmax."""
     if name not in SUITES:
         raise KeyError("unknown suite %r (have %s)" % (name, sorted(SUITES)))
-    return SUITES[name](**kwargs)
+    if nmax is None:
+        return SUITES[name]()
+    if name not in NMAX_BUDGETS:
+        raise ValueError("suite %s takes no nmax (only %s do)"
+                         % (name, ", ".join(sorted(NMAX_BUDGETS))))
+    low, high = NMAX_BUDGETS[name]
+    if not low <= nmax <= high:
+        raise ValueError("nmax %d outside the budget %d..%d of suite %s"
+                         % (nmax, low, high, name))
+    return SUITES[name](nmax=nmax)

@@ -5,7 +5,8 @@ import pytest
 
 from bmwgram import bmw as B
 from bmwgram.coeff import LaurentPoly
-from bmwgram.combin import dfn, perm_id, perm_word
+from bmwgram.combin import (apply_right_s, dfn, perm_from_word, perm_id,
+                            perm_len, perm_word)
 from bmwgram.hecke import HeckeElem
 
 L = LaurentPoly
@@ -206,3 +207,41 @@ def test_phi_f_symmetry(n, f):
             assert B.phi_f(u, v, f, n) == ref
             assert B.phi_f(v, u, f, n).star() == ref
 
+
+
+@pytest.mark.parametrize("n,f", [(n, f) for n in range(2, 7)
+                                 for f in range(1, n // 2 + 1)])
+def test_phi_pairs_match_phi_f(n, f):
+    """The tree walk yields each pair u <= v of D_{f,n} once, with the
+    value of the reference fold phi_f."""
+    dangles = dfn(f, n)
+    pairs = [(u, v) for u in dangles for v in dangles if u <= v]
+    got = list(B.phi_pairs(f, n))
+    assert sorted((u, v) for u, v, _h in got) == sorted(pairs)
+    for u, v, h in got:
+        assert h == B.phi_f(u, v, f, n), (u, v)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dangle_transversal_closed_under_parent(n):
+    """Every v != 1 in D_{f,n} keeps its parent, the permutation of its
+    reduced word without the last letter, in D_{f,n}, one length shorter."""
+    for f in range(1, n // 2 + 1):
+        dangles = set(dfn(f, n))
+        for v in dangles - {perm_id(n)}:
+            word = perm_word(v)
+            parent = perm_from_word(n, word[:-1])
+            assert parent in dangles and perm_len(parent) == len(word) - 1
+            assert B.dangle_parent(v, f, n) == (parent, word[-1])
+
+
+def test_dangle_parent_outside_the_transversal():
+    """A permutation whose parent leaves D_{f,n} gets a labelled error."""
+    n, f = 4, 1
+    dangles = set(dfn(f, n))
+    strays = [v for v in itertools.permutations(range(1, n + 1))
+              if v != perm_id(n)
+              and apply_right_s(v, perm_word(v)[-1]) not in dangles]
+    assert strays
+    with pytest.raises(RuntimeError, match="not closed"):
+        B.dangle_parent(strays[0], f, n)

@@ -184,6 +184,43 @@ def test_verify_dims_suite(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("suite,nmax,lines", [
+    ("inflation", 3, ["inflation backend cell (1, ()) n=2: PASS",
+                      "inflation backend cell (1, (1,)) n=3: PASS",
+                      "tower product structure n=2: PASS",
+                      "tower product structure n=3: PASS",
+                      "4/4 passed"]),
+    ("central", 3, ["central element n=2: PASS",
+                    "central element n=3: PASS",
+                    "2/2 passed"]),
+])
+def test_verify_nmax_reaches_the_suite(capsys, suite, nmax, lines):
+    rc, out = run(capsys, ["verify", "--suite", suite, "--nmax", str(nmax)])
+    assert rc == 0
+    assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize("suite,nmax,reason", [
+    ("hecke", 2, "takes no nmax"),
+    ("dims", 3, "takes no nmax"),
+    ("witnesses", 5, "takes no nmax"),
+    ("b1-formulas", 5, "takes no nmax"),
+    ("inflation", 5, "outside the budget 2..4"),
+    ("central", 6, "outside the budget 2..5"),
+    ("relations", 1, "outside the budget"),
+    ("relations", DEFAULT_MAX_N + 1, "outside the budget"),
+    ("oracle-agreement", DEFAULT_MAX_N + 1, "outside the budget"),
+])
+def test_verify_nmax_refused(capsys, suite, nmax, reason):
+    rc = main(["verify", "--suite", suite, "--nmax", str(nmax)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert reason in lines[0]
+
+
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def fail(args):

@@ -1,7 +1,8 @@
 """Every cell with 1 <= n <= 6 against the sha256 of its
 `gram --output json` stdout, recorded before the Gram matrices were read
 through the double-coset table (46 cells: 1, 3, 4, 8, 11 and 19 per
-degree)."""
+degree), and the three f = 2 cells at n = 7, recorded before the tower form
+was computed by one walk of the dangle tree."""
 
 import contextlib
 import hashlib
@@ -60,19 +61,31 @@ GRAM_JSON_SHA256 = {
     (6, 3, ()): "ee1e12174f3d219192f0769fe9ed3ab63ecf2b9a1bff52f6f6c3df84f407c97e",
 }
 
+GRAM_N7_F2_JSON_SHA256 = {
+    (7, 2, (3,)): "09021c3ba0927399a840eb5288f793af52fb45a35455dde72fdcd465bcbedfff",
+    (7, 2, (2, 1)): "4b216515925363fffeb1ced735799a3029ad8aca7c9903a0a83324d0a801cf92",
+    (7, 2, (1, 1, 1)): "0c5b0134b969069b63dbf94a26b9c78b0227eaa6cb5270c4d956f5dae0df5c3a",
+}
+
+
+def _gram_json_sha256(n, f, lam):
+    out = io.StringIO()
+    argv = ["--output", "json", "gram", "--n", str(n), "--f", str(f),
+            "--lambda", "(%s)" % ",".join(map(str, lam))]
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gram_json_matches_fixture(n):
     cells = [key for key in GRAM_JSON_SHA256 if key[0] == n]
     assert cells
-    wrong = []
-    for _n, f, lam in cells:
-        out = io.StringIO()
-        argv = ["--output", "json", "gram", "--n", str(n), "--f", str(f),
-                "--lambda", "(%s)" % ",".join(map(str, lam))]
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        if digest != GRAM_JSON_SHA256[(n, f, lam)]:
-            wrong.append((f, lam))
+    wrong = [(f, lam) for _n, f, lam in cells
+             if _gram_json_sha256(n, f, lam) != GRAM_JSON_SHA256[(n, f, lam)]]
     assert not wrong
+
+
+@pytest.mark.parametrize("cell", sorted(GRAM_N7_F2_JSON_SHA256), ids=str)
+def test_gram_json_n7_f2_matches_fixture(cell):
+    assert _gram_json_sha256(*cell) == GRAM_N7_F2_JSON_SHA256[cell]
