@@ -1,0 +1,8 @@
+"""``python -m bmwgram``: the command line of bmwgram.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

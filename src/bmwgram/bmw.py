@@ -36,7 +36,6 @@ DELTA = LaurentPoly.one() + LaurentPoly.omega_inv() * (LaurentPoly.r() - Laurent
 
 _WT = {}
 _WE = {}
-_PB = {}
 _INPROGRESS = set()
 
 
@@ -160,13 +159,6 @@ def lmul_ustar(n, u, elem):
     if u == perm_id(n):
         return dict(elem)
     return star_elem(fold_T(n, star_elem(elem), perm_word(u)))
-
-
-def _lmul_perm(n, g, elem):
-    """T_g * elem via the anti-involution (T-letter folds only)."""
-    if g == perm_id(n):
-        return dict(elem)
-    return star_elem(fold_T(n, star_elem(elem), perm_word(perm_inv(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +307,7 @@ def _we(n, word, i):
             for (g, u1, w1, v1), c in sub.items():
                 add_term(out, (f + g, _lift_perm(u1, n), w1, _lift_perm(v1, n)), c)
         elif i == m:
-            out = _lmul_perm(n, y, _block_times_E(n, f, m))
+            out = lmul_ustar(n, perm_inv(y), _block_times_E(n, f, m))
         else:
             out = fold_T(n, _block_times_E(n, f, i), perm_word(y))
         return out if u == perm_id(n) else lmul_ustar(n, u, out)
@@ -334,14 +326,14 @@ def _we(n, word, i):
             for (w2, v2), c in efn_times_perm(n, f, tuple(y2)).items():
                 _combine(inner, _we_cached(n, (f, u, w2, v2), i), c)
             if j < m:
-                return _lmul_perm(n, apply_right_s(perm_id(n), j), inner)
+                return lmul_ustar(n, apply_right_s(perm_id(n), j), inner)
             return _scale(inner, R_INV)
 
     # a right descent commuting with E_i peels off
     for j in range(1, n):
         if abs(j - i) >= 2 and not right_ascent(y, j):
             base = _attach(u, f, efn_times_perm(n, f, apply_right_s(y, j)))
-            return fold_T(n, _elem_we(n, base, i), [j])
+            return fold(n, base, [("E", i), ("T", j)])
 
     # contraction at the top pair: peel the two top strands
     if f and i == n - 1:
@@ -358,7 +350,7 @@ def _we(n, word, i):
         # y = h s_{n,k}: T_{n-1} T_{n-2} E_{n-1} = E_{n-2} E_{n-1}
         h = perm_mul(y, perm_inv(s_range(n, n, k)))
         base = _attach(u, f, efn_times_perm(n, f, h))
-        mid = _elem_we(n, base, n - 2)
+        mid = elem_times_token(n, base, ("E", n - 2))
         return fold_T(n, mid, list(range(n - 1, k - 1, -1)))
 
     # single awkward letter: conditional expectation against the block
@@ -386,10 +378,11 @@ def _we(n, word, i):
         base = _attach(u, f, efn_times_perm(n, f, apply_right_s(y, j)))
         for tail in ("T", "E"):
             try:
-                mid = _elem_we(n, _elem_times_Tinv(n, base, i), j)
+                mid = elem_times_token(n, _elem_times_Tinv(n, base, i),
+                                       ("E", j))
                 if tail == "T":
                     return fold_T(n, mid, [i, j])
-                return _elem_we(n, mid, i)
+                return elem_times_token(n, mid, ("E", i))
             except RuntimeError as err:
                 last_err = err
     raise last_err or AssertionError("no reduction applies to %r" % (word,))
@@ -426,45 +419,24 @@ def _block_times_E(n, f, i):
     return _attach(perm_id(n), f, efn_times_perm(n, f, z))
 
 
-def _elem_we(n, elem, i):
-    out = {}
-    for wd, c in elem.items():
-        _combine(out, _we_cached(n, wd, i), c)
-    return out
-
-
 def _pure_base(n, f, i):
-    """E^{f,n} E_i for i <= n-2f-1: the single router word, coefficient 1.
+    """E^{f,n} E_i for i <= n-2f-1: the single router word, coefficient 1
+    (at f = 0 the generator E_i).
 
     Induction down from i = n-2f-1 (where the product is E^{f+1,n} on the
     nose) through E^{f,n} E_i = T_{i+1} T_i (E^{f,n} E_{i+1}) E_i, whose
     right side collapses to one word by the pair-contraction rules.
     """
-    key = (n, f, i)
-    hit = _PB.get(key)
-    if hit is not None:
-        return hit
     m = n - 2 * f
     through = [x for x in range(1, m + 1) if x not in (i, i + 1)]
     pairs = [(i, i + 1)] + [(m + 2 * k + 1, m + 2 * k + 2) for k in range(f)]
     u1 = dangle_from_data(n, f + 1, through, pairs)
-    res = {(f + 1, u1, perm_id(m - 2), u1): ONE}
-    _PB[key] = res
-    return res
+    return {(f + 1, u1, perm_id(m - 2), u1): ONE}
 
 
 # ---------------------------------------------------------------------------
 # public elements
 # ---------------------------------------------------------------------------
-
-def gen_word_E(n, i):
-    """E_i as a normal word."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("generator index out of range")
-    u0 = dangle_from_data(n, 1, [x for x in range(1, n + 1) if x not in (i, i + 1)],
-                          [(i, i + 1)])
-    return (1, u0, perm_id(n - 2), u0)
-
 
 class BmwElem:
     """Linear combination of normal words of the degree-n algebra."""
@@ -486,11 +458,11 @@ class BmwElem:
         if kind == "T":
             return cls(n, {(0, perm_id(n), apply_right_s(perm_id(n), i), perm_id(n)): ONE})
         if kind == "E":
-            return cls(n, {gen_word_E(n, i): ONE})
+            return cls(n, _pure_base(n, 0, i))
         if kind == "T_inv":
             out = cls.generator("T", i, n).terms.copy()
             add_term(out, word_one(n), -OMEGA)
-            add_term(out, gen_word_E(n, i), OMEGA)
+            _combine(out, _pure_base(n, 0, i), OMEGA)
             return cls(n, out)
         raise ValueError("kind must be T, T_inv or E")
 
@@ -556,13 +528,17 @@ def jucys_murphy(i, n):
     return out
 
 
-def hecke_image(x):
-    """Quotient by the contraction ideal: drop every word with f >= 1."""
+def hecke_image(x, f=0):
+    """The Hecke element h = sum c_w g_w of S_{n-2f} read off the level-f,
+    dangle-free words (f, 1, w, 1) of x: x = E^{f,n} h plus words of other
+    levels or dangles.  At f = 0 it is the quotient by the contraction
+    ideal."""
+    idn = perm_id(x.n)
     terms = {}
-    for (f, _u, w, _v), c in x.terms.items():
-        if f == 0:
-            terms[w] = c
-    return HeckeElem(x.n, terms)
+    for (ff, uu, ww, vv), c in x.terms.items():
+        if ff == f and uu == idn and vv == idn:
+            terms[ww] = c
+    return HeckeElem(x.n - 2 * f, terms)
 
 
 def phi_f(u, v, f, n):
@@ -584,12 +560,7 @@ def phi_f(u, v, f, n):
     elem = fold_T(n, elem, perm_word(u), f)
     elem = fold_T(n, elem, list(reversed(perm_word(v))), f)
     elem = fold(n, elem, [("E", j) for j in range(n - 1, m, -2)], f)
-    terms = {}
-    idn = perm_id(n)
-    for (ff, uu, ww, vv), c in elem.items():
-        if ff == f and uu == idn and vv == idn:
-            terms[ww] = c
-    return HeckeElem(m, terms)
+    return hecke_image(BmwElem(n, elem), f)
 
 
 def dangle_parent(v, f, n):
@@ -628,11 +599,8 @@ def phi_pairs(f, n):
     contract = [("E", j) for j in range(n - 1, m, -2)]
 
     def at_root(word):
-        terms = {}
-        for (ff, uu, ww, vv), c in fold(n, {word: ONE}, contract, f).items():
-            if ff == f and uu == idn and vv == idn:
-                terms[ww] = c
-        return terms
+        return hecke_image(BmwElem(n, fold(n, {word: ONE}, contract, f)),
+                           f).terms
 
     def below(psi_parent, i):
         def psi(word):

@@ -142,19 +142,9 @@ def _row_elements(cell):
     return rows
 
 
-def _level_hecke_part(cell, elem):
-    """The (f, 1, w, 1)-coefficients of elem as a Hecke element."""
-    n, f = cell.n, cell.f
-    idn = perm_id(n)
-    terms = {}
-    for (ff, uu, ww, vv), c in elem.items():
-        if ff == f and uu == idn and vv == idn:
-            terms[ww] = c
-    return HeckeElem(n - 2 * f, terms)
-
-
 def _extract(cell, elem):
-    return cell_coefficient(_level_hecke_part(cell, elem), cell.lam)
+    return cell_coefficient(
+        _bmw.hecke_image(_bmw.BmwElem(cell.n, elem), cell.f), cell.lam)
 
 
 def gram_matrix(cell):

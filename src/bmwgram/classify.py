@@ -217,11 +217,6 @@ def simple_labels(n, spec):
     return out
 
 
-def _reduced_r(spec):
-    sign, a = spec.reduced_r_exponent()
-    return sign, a
-
-
 def b3_witness(n, spec):
     """Explicit witness cells ((l, mu), (f, lam)) for the root-of-unity
     singular regime e <= n-2, r = ±q^a."""
@@ -230,7 +225,7 @@ def b3_witness(n, spec):
         raise ValueError("witness table applies only when e <= n - 2")
     if not spec.r_signed_power():
         raise ValueError("witness table needs r = ±q^a")
-    sign, a = _reduced_r(spec)
+    sign, a = spec.reduced_r_exponent()
     b = a + 1
     inpair = spec.r_in_inverse_pair()
 

@@ -5,14 +5,14 @@ at w = q - q^{-1}: an integer Laurent polynomial together with a power of w
 in the denominator.  Values are immutable and kept canonical (no zero
 coefficients, minimal w-denominator), so equality is structural equality.
 
-Concrete computations happen in prime fields GF(p); `ParamSpec` bundles
-either a symbolic parameter regime (order of q^2, characteristic, the shape
-of r) or a concrete one (p, q0, r0).
+Concrete computations happen in prime fields GF(p); `ParamSpec` is a
+parameter regime (order of q^2, characteristic, the shape of r), which a
+concrete point (p, q0, r0) fixes and carries along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import mul
 
@@ -540,17 +540,19 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """A parameter regime, symbolic or concrete.
+    """A parameter regime: e = ord(q^2) (None for infinite), characteristic
+    p (None for char 0), r either GENERIC (r_sign = 0) or the signed power
+    r = r_sign * q^r_exp, and qe_sign = sign of q^e (0 when unknown; only
+    meaningful for odd finite e away from char 2).
 
-    Symbolic: e = ord(q^2) (None for infinite), characteristic p (None for
-    char 0), r either GENERIC or a signed power (sign, a) meaning r = ±q^a,
-    and qe_sign = sign of q^e (0 when unknown; only meaningful for odd
-    finite e away from char 2).
-
-    Concrete: prime p with q0, r0 in GF(p)*, q0^2 != 1.
+    A concrete spec is a point q0, r0 of GF(p)*, q0^2 != 1, and the regime
+    it fixes: e = ord(q0^2), qe_sign = the sign of q0^e, and r = ±q0^a with
+    0 <= a < e when r0 is such a power, else GENERIC.  Every regime
+    question reads those fields, so a concrete spec and its symbolic twin
+    give the same answers by the same code; q0 and r0 serve evaluation and
+    printing only.
     """
 
-    mode: str
     e: int | None = None
     p: int | None = None
     r_sign: int = 0
@@ -579,7 +581,7 @@ class ParamSpec:
             qe = 1 if p == 2 else -1
         elif p == 2:
             qe = 1
-        return cls("symbolic", e=e, p=p, r_sign=sign, r_exp=exp, qe_sign=qe)
+        return cls(e=e, p=p, r_sign=sign, r_exp=exp, qe_sign=qe)
 
     @classmethod
     def concrete(cls, p, q0, r0):
@@ -591,52 +593,45 @@ class ParamSpec:
             raise ValueError("q0 and r0 must be nonzero")
         if q0 * q0 % p == 1:
             raise ValueError("q0^2 = 1 makes w = q - q^-1 vanish")
-        return cls("concrete", p=p, q0=q0, r0=r0)
+        # p is odd here: GF(2)* = {1} holds no admissible q0
+        e = multiplicative_order(q0 * q0 % p, p)
+        r = GENERIC
+        power = 1
+        for a in range(e):
+            if power == r0 or power == p - r0:
+                r = (1 if power == r0 else -1, a)
+                break
+            power = power * q0 % p
+        qe = 1 if pow(q0, e, p) == 1 else -1
+        return replace(cls.symbolic(e=e, p=p, r=r, qe=qe), q0=q0, r0=r0)
 
     # -- shared views ------------------------------------------------------
     def is_concrete(self):
-        return self.mode == "concrete"
+        return self.q0 is not None
 
     def char(self):
         return self.p
 
     def order_qsq(self):
         """ord(q^2); None means infinite order."""
-        if self.is_concrete():
-            return multiplicative_order(self.q0 * self.q0 % self.p, self.p)
         return self.e
 
     def sign_q_to_e(self):
         """Sign of q^e in {+1, -1, 0=unknown}; char 2 counts as +1."""
-        if self.is_concrete():
-            e = self.order_qsq()
-            v = pow(self.q0, e, self.p)
-            return 1 if v == 1 else -1
         return self.qe_sign
 
     # q^m = sign decision; True / False / None(undetermined)
     def q_power_is(self, m, sign):
-        if self.is_concrete():
-            v = pow(self.q0, m % (2 * self.order_qsq()), self.p)
-            target = 1 if sign > 0 else self.p - 1
-            return v == target
         return eval_sign_condition(m, sign, self)
 
     def unit_eq_one(self, sign, m):
         """Decide sign * q^m = 1 (folding signs away in char 2)."""
-        if self.is_concrete():
-            want = 1 if sign > 0 else self.p - 1
-            e = self.order_qsq()
-            return pow(self.q0, m % (2 * e), self.p) == want % self.p
         if self.p == 2:
             return self.q_power_is(m, 1)
         return self.q_power_is(m, sign)
 
     def r_equals(self, sign, a):
         """Decide r = sign * q^a; None if symbolic data cannot tell."""
-        if self.is_concrete():
-            return (sign * pow(self.q0, a % (2 * self.order_qsq()), self.p)
-                    - self.r0) % self.p == 0
         if self.r_sign == 0:
             return False
         return self.unit_eq_one(self.r_sign * sign, self.r_exp - a)
@@ -655,35 +650,17 @@ class ParamSpec:
 
     def r_signed_power(self):
         """Decide r in {q^a, -q^b : a, b integers}."""
-        if self.is_concrete():
-            p, q0, r0 = self.p, self.q0, self.r0
-            acc = 1
-            for _ in range(multiplicative_order(q0, p)):
-                if r0 == acc or (r0 + acc) % p == 0:
-                    return True
-                acc = acc * q0 % p
-            return False
         return self.r_sign != 0
 
-    def reduced_r_exponent(self, n_range=None):
+    def reduced_r_exponent(self):
         """Return (sign, a) with r = sign*q^a and 0 <= a < e.
 
         Requires a signed-power r and finite e; raises when the q^e sign
         is needed but unknown.
         """
-        e = self.order_qsq()
+        e = self.e
         if e is None:
             raise ValueError("requires finite e")
-        if self.is_concrete():
-            q0, p = self.q0, self.p
-            acc = 1
-            for a in range(e):
-                if self.r0 == acc:
-                    return (1, a)
-                if (self.r0 + acc) % p == 0:
-                    return (-1, a)
-                acc = acc * q0 % p
-            raise ValueError("r0 is not ±(a power of q0)")
         if self.r_sign == 0:
             raise ValueError("r is generic")
         sign, a = self.r_sign, self.r_exp % (2 * e)
@@ -693,8 +670,6 @@ class ParamSpec:
             if s == 0:
                 raise ValueError("q^e sign unknown; cannot reduce exponent")
             sign *= s
-        if self.p == 2:
-            sign = 1
         return (sign, a)
 
     # -- rendering ----------------------------------------------------------
@@ -714,14 +689,12 @@ class ParamSpec:
 
 
 def eval_sign_condition(m, sign, spec):
-    """Decide q^m = 1 (sign=+1) or q^m = -1 (sign=-1) for a symbolic spec.
+    """Decide q^m = 1 (sign=+1) or q^m = -1 (sign=-1) under the spec.
 
     Returns True, False or None; None only when the answer depends on the
     unknown sign of q^e.  In char 2 the target -1 is never reported true
     (callers fold 2 = 0 separately).
     """
-    if spec.is_concrete():
-        return spec.q_power_is(m, sign)
     e, p = spec.e, spec.p
     if sign < 0 and p == 2:
         return False

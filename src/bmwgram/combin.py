@@ -348,42 +348,27 @@ def is_admissible(lam, mu, f, spec):
     if f == 0:
         return lam == mu
     nodes = sorted(set(cells(lam)) - set(cells(mu)))
-    if spec.is_concrete():
-        p, q0, r0 = spec.p, spec.q0, spec.r0
+    if spec.r_sign == 0:
+        return False
+    sign, aexp = spec.r_sign, spec.r_exp
 
-        def pair_ok(p1, p2):
-            d1 = p1[1] - p1[0]
-            d2 = p2[1] - p2[0]
-            return r0 * r0 * pow(q0, 2 * (d1 + d2), p) % p == 1 % p
+    def _decide(value):
+        if value is None:
+            raise ValueError("undetermined parameter regime")
+        return value
 
-        def vert_marked(top):
-            return (r0 * pow(q0, 2 * (top[1] - top[0]), p) - q0) % p == 0
+    def pair_ok(p1, p2):
+        d1 = p1[1] - p1[0]
+        d2 = p2[1] - p2[0]
+        return _decide(spec.q_power_is(2 * (aexp + d1 + d2), 1))
 
-        def horiz_marked(left):
-            val = r0 * pow(q0, 2 * (left[1] - left[0]), p) % p
-            return (val + pow(q0, -1, p)) % p == 0
-    else:
-        if spec.r_sign == 0:
-            return False
-        sign, aexp = spec.r_sign, spec.r_exp
+    def vert_marked(top):
+        return _decide(spec.unit_eq_one(sign,
+                                        aexp + 2 * (top[1] - top[0]) - 1))
 
-        def _decide(value):
-            if value is None:
-                raise ValueError("undetermined parameter regime")
-            return value
-
-        def pair_ok(p1, p2):
-            d1 = p1[1] - p1[0]
-            d2 = p2[1] - p2[0]
-            return _decide(spec.q_power_is(2 * (aexp + d1 + d2), 1))
-
-        def vert_marked(top):
-            return _decide(spec.unit_eq_one(sign,
-                                            aexp + 2 * (top[1] - top[0]) - 1))
-
-        def horiz_marked(left):
-            return _decide(spec.unit_eq_one(-sign,
-                                            aexp + 2 * (left[1] - left[0]) + 1))
+    def horiz_marked(left):
+        return _decide(spec.unit_eq_one(-sign,
+                                        aexp + 2 * (left[1] - left[0]) + 1))
 
     comp_of = {}
     for idx, comp in enumerate(_skew_components(lam, mu)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims, gram_matrix,
                       specialized_rank)
-from .coeff import ParamSpec
+from .coeff import ParamSpec, is_prime
 from .combin import dfn_size, is_e_restricted, partitions
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -92,7 +92,13 @@ def radical_dims(n, spec):
 
 
 def sweep_specs(primes=DEFAULT_PRIMES):
-    """All admissible concrete specs (q0^2 != 1) for the given primes."""
+    """All admissible concrete specs (q0^2 != 1) for the given distinct
+    primes."""
+    for k, p in enumerate(primes):
+        if not is_prime(p):
+            raise ValueError("sweep prime %d is not a prime" % p)
+        if p in primes[:k]:
+            raise ValueError("sweep prime %d is listed twice" % p)
     out = []
     for p in primes:
         for q0 in range(2, p - 1):
@@ -121,4 +127,7 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
             rows.append((n, spec, rep.singular, verdict.singular))
             if rep.singular != verdict.singular:
                 disagreements.append((n, spec, rep, verdict))
+    if not rows:
+        raise ValueError("the sweep reaches no regime: degrees %s, primes %s"
+                         % (list(ns), list(primes)))
     return rows, disagreements

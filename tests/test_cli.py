@@ -100,6 +100,35 @@ def test_sweep_output_matches_agreement_sweep(capsys):
     assert json.loads(out) == {"rows": len(rows), "disagreements": []}
 
 
+@pytest.mark.parametrize("primes,reason", [
+    ("1", "sweep prime 1 is not a prime"),
+    ("5,6", "sweep prime 6 is not a prime"),
+    ("5,5", "sweep prime 5 is listed twice"),
+    ("2,3", "the sweep reaches no regime"),
+])
+def test_sweep_refuses_empty_or_repeated_primes(capsys, primes, reason):
+    rc = main(["sweep", "--nmax", "3", "--primes", primes])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + reason)
+
+
+@pytest.mark.parametrize("argv,rc", [(["dims", "--n", "3"], 0),
+                                     (["dims", "--n", "-1"], 1)])
+def test_python_m_bmwgram(capsys, argv, rc):
+    """python -m bmwgram runs cli.main and exits with its code."""
+    want = main(argv)
+    captured = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bmwgram.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bmwgram"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == want == rc
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
 @pytest.mark.parametrize("f,lam", [(0, "(1,2)"), (1, "(-1,2)"),
                                    (1, "(1,0)"), (0, "(2,1,0)")])
 def test_gram_rejects_non_partition(capsys, f, lam):

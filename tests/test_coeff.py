@@ -4,6 +4,7 @@ import pytest
 
 from bmwgram.coeff import (LaurentPoly, ParamSpec, eval_sign_condition,
                            multiplicative_order, parse_poly)
+from bmwgram.oracle import sweep_specs
 
 L = LaurentPoly
 Q = L.q()
@@ -171,19 +172,85 @@ def test_eval_sign_condition():
     assert eval_sign_condition(6, 1, s) is True
 
 
+# The GF(p) answers a concrete spec (p, q0, r0) gave before it carried its
+# regime: the reference that the regime fields are held to.
+
+def gf_order_qsq(p, q0):
+    k, x = 1, q0 * q0 % p
+    while x != 1:
+        k, x = k + 1, x * q0 * q0 % p
+    return k
+
+
+def gf_signed_log(p, q0, r0, e):
+    """(sign, a) with r0 = sign * q0^a and 0 <= a < e, else None."""
+    for a in range(e):
+        if r0 == pow(q0, a, p):
+            return (1, a)
+        if (r0 + pow(q0, a, p)) % p == 0:
+            return (-1, a)
+    return None
+
+
+def gf_is(p, value, sign):
+    return value % p == sign % p
+
+
+GF_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def test_eval_sign_condition_matches_concrete():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in GF_PRIMES:
         for q0 in range(2, p - 1):
             if q0 * q0 % p == 1:
                 continue
-            spec = ParamSpec.concrete(p, q0, 1)
-            e = spec.order_qsq()
-            sym = ParamSpec.symbolic(e=e, p=p, qe=spec.sign_q_to_e())
-            for m in range(0, 2 * e + 3):
+            e = gf_order_qsq(p, q0)
+            qe = 1 if pow(q0, e, p) == 1 else -1
+            sym = ParamSpec.symbolic(e=e, p=p, qe=qe)
+            for m in range(-3 * e, 3 * e + 1):
                 for sign in (1, -1):
                     got = eval_sign_condition(m, sign, sym)
-                    want = spec.q_power_is(m, sign)
-                    assert got == want, (p, q0, m, sign)
+                    assert got == gf_is(p, pow(q0, m, p), sign), \
+                        (p, q0, m, sign)
+
+
+def test_concrete_spec_carries_its_regime():
+    """The fields of a concrete spec are the regime its point fixes, in
+    the normal form of ParamSpec.symbolic: 0 <= a < e, qe = -1 at even e."""
+    for spec in sweep_specs(GF_PRIMES):
+        p, q0, r0 = spec.p, spec.q0, spec.r0
+        e = gf_order_qsq(p, q0)
+        qe = 1 if pow(q0, e, p) == 1 else -1
+        r = gf_signed_log(p, q0, r0, e) or "generic"
+        twin = ParamSpec.symbolic(e=e, p=p, r=r, qe=qe)
+        assert (spec.e, spec.p, spec.r_sign, spec.r_exp, spec.qe_sign) == \
+            (twin.e, twin.p, twin.r_sign, twin.r_exp, twin.qe_sign), str(spec)
+        assert 0 <= spec.r_exp < e
+        assert spec.qe_sign == (-1 if e % 2 == 0 else qe)
+
+
+def test_concrete_predicates_match_gf():
+    for spec in sweep_specs(GF_PRIMES):
+        p, q0, r0 = spec.p, spec.q0, spec.r0
+        e = gf_order_qsq(p, q0)
+        log = gf_signed_log(p, q0, r0, e)
+        assert spec.order_qsq() == e
+        assert spec.sign_q_to_e() == (1 if pow(q0, e, p) == 1 else -1)
+        assert spec.r_signed_power() == (log is not None)
+        if log is not None:
+            assert spec.reduced_r_exponent() == log
+        else:
+            with pytest.raises(ValueError):
+                spec.reduced_r_exponent()
+        assert spec.r_in_inverse_pair() == (
+            gf_is(p, r0 * q0, 1) or gf_is(p, r0, -q0))
+        for m in range(-3 * e, 3 * e + 1):
+            for sign in (1, -1):
+                want = gf_is(p, pow(q0, m, p), sign)
+                assert spec.q_power_is(m, sign) == want, (str(spec), m, sign)
+                assert spec.unit_eq_one(sign, m) == want
+                assert spec.r_equals(sign, m) == \
+                    gf_is(p, sign * pow(q0, m, p) - r0, 0), (str(spec), m)
 
 
 def test_param_spec_invariants():
@@ -195,6 +262,17 @@ def test_param_spec_invariants():
     assert s.qe_sign == -1 and s.r_exp == 1
     s2 = ParamSpec.symbolic(e=4, p=2, r=(-1, 3))
     assert s2.qe_sign == 1 and s2.r_sign == 1
+
+
+def test_char_2_folds_signs():
+    # -1 = 1 in characteristic 2: r = -q^a is r = q^a, and q^e = 1
+    s = ParamSpec.symbolic(e=3, p=2, r=(-1, 4))
+    assert (s.r_sign, s.r_exp, s.qe_sign) == (1, 4, 1)
+    assert s.reduced_r_exponent() == (1, 1)
+    for a in range(-6, 7):
+        assert s.r_equals(-1, a) is s.r_equals(1, a) is (a % 3 == 1)
+        assert s.unit_eq_one(-1, a) is (a % 3 == 0)
+        assert eval_sign_condition(a, -1, s) is False
 
 
 def test_reduced_r_exponent():

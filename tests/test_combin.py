@@ -4,12 +4,14 @@ import random
 import pytest
 
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import (apply_right_s, cells, conjugate, d_of, dangle_data,
+from bmwgram.combin import (_matchings, _skew_components, apply_right_s,
+                            cells, conjugate, contains, d_of, dangle_data,
                             dfn, dfn_size, dominates, forbidden_r_values,
                             hook_lengths, is_admissible, is_e_restricted,
                             content, nu_ep, num_std_tableaux, partitions,
                             perm_from_word, perm_id, perm_inv, perm_len,
                             perm_mul, perm_word, std_tableaux, superstandard)
+from bmwgram.oracle import sweep_specs
 
 
 def test_partitions():
@@ -137,6 +139,46 @@ def test_admissible_examples():
     assert is_admissible((1, 1), (), 1, sp(1, 1)) is False
     with pytest.raises(ValueError):
         is_admissible((2, 1), (), 1, sp(1, 1))
+
+
+def gf_admissible(lam, mu, f, p, q0, r0):
+    """is_admissible read off the node contents r0 q0^{2(j-i)} in GF(p):
+    a perfect pairing with content product 1, and in each component an
+    even number of vertical pairs with top content q0 and of horizontal
+    pairs with left content -q0^{-1}."""
+    if not contains(lam, mu):
+        return False
+
+    def node_content(node):
+        return r0 * pow(q0, 2 * (node[1] - node[0]), p) % p
+    comp_of = {node: k for k, comp in enumerate(_skew_components(lam, mu))
+               for node in comp}
+    nodes = sorted(set(cells(lam)) - set(cells(mu)))
+    for matching in _matchings(nodes):
+        if any(node_content(a) * node_content(b) % p != 1 for a, b in matching):
+            continue
+        marked = []
+        for a, b in matching:
+            lo, hi = min(a, b), max(a, b)
+            if hi == (lo[0] + 1, lo[1]) and node_content(lo) == q0:
+                marked.append(("v", comp_of[lo]))
+            elif hi == (lo[0], lo[1] + 1) and \
+                    node_content(lo) == -pow(q0, -1, p) % p:
+                marked.append(("h", comp_of[lo]))
+        if all(marked.count(key) % 2 == 0 for key in marked):
+            return True
+    return False
+
+
+def test_admissible_matches_gf():
+    triples = [(lam, mu, f) for size in range(2, 7)
+               for lam in partitions(size)
+               for f in range(1, size // 2 + 1)
+               for mu in partitions(size - 2 * f)]
+    for spec in sweep_specs((5, 7, 11, 13)):
+        for lam, mu, f in triples:
+            assert is_admissible(lam, mu, f, spec) == gf_admissible(
+                lam, mu, f, spec.p, spec.q0, spec.r0), (str(spec), lam, mu, f)
 
 
 def test_forbidden_r_values_examples():

@@ -2,8 +2,9 @@ import pytest
 
 from bmwgram.cellmod import CellIndex, cell_dims
 from bmwgram.coeff import ParamSpec
-from bmwgram.oracle import (OracleReport, radical_dims, singular_oracle,
-                            sweep_specs)
+from bmwgram.oracle import (OracleReport, agreement_sweep, radical_dims,
+                            singular_oracle, sweep_specs)
+from bmwgram.verify import suite_oracle_agreement
 
 
 def test_oracle_examples():
@@ -65,3 +66,16 @@ def test_sweep_specs_exclude_bad_q():
     for spec in sweep_specs((2, 3, 5)):
         assert spec.q0 * spec.q0 % spec.p != 1
     assert not [s for s in sweep_specs((2, 3)) if True]
+
+
+@pytest.mark.parametrize("primes", [(1,), (4, 5), (5, 7, 5)])
+def test_sweep_specs_refuse_bad_primes(primes):
+    with pytest.raises(ValueError):
+        sweep_specs(primes)
+
+
+def test_agreement_sweep_without_regimes_fails():
+    with pytest.raises(ValueError, match="reaches no regime"):
+        suite_oracle_agreement(nmax=3, primes=(2, 3))
+    with pytest.raises(ValueError, match="reaches no regime"):
+        agreement_sweep(ns=(), primes=(5,))
