@@ -281,6 +281,7 @@ def _pair_partner(m, pos):
 
 
 def _we(n, word, i):
+    # reached only through _we_cached, so the left dangle u is the identity
     f, u, w, v = word
     m = n - 2 * f
     y = merge_wv(n, f, w, v)
@@ -310,24 +311,21 @@ def _we(n, word, i):
             out = lmul_ustar(n, perm_inv(y), _block_times_E(n, f, m))
         else:
             out = fold_T(n, _block_times_E(n, f, i), perm_word(y))
-        return out if u == perm_id(n) else lmul_ustar(n, u, out)
+        return out
 
     if y == perm_id(n):
         return _block_times_E(n, f, i)
 
-    # peel a left descent: T_y E_i = T_j (T_{s_j y} E_i), length drops.
-    # T_j passes the block when j < m and is absorbed into it when j is a
-    # block factor index.
-    for j in range(1, n):
-        if y[j - 1] > y[j] and (j < m or (j - m) % 2 == 1):
+    # peel a left descent: T_y E_i = T_j (T_{s_j y} E_i), length drops,
+    # and T_j passes the block (j < m; y is increasing on every pair)
+    for j in range(1, m):
+        if y[j - 1] > y[j]:
             y2 = list(y)
             y2[j - 1], y2[j] = y2[j], y2[j - 1]
             inner = {}
             for (w2, v2), c in efn_times_perm(n, f, tuple(y2)).items():
                 _combine(inner, _we_cached(n, (f, u, w2, v2), i), c)
-            if j < m:
-                return lmul_ustar(n, apply_right_s(perm_id(n), j), inner)
-            return _scale(inner, R_INV)
+            return lmul_ustar(n, apply_right_s(perm_id(n), j), inner)
 
     # a right descent commuting with E_i peels off
     for j in range(1, n):
@@ -339,10 +337,8 @@ def _we(n, word, i):
     if f and i == n - 1:
         k = y[n - 1]
         if k == n:
+            # kp != n-1: a y fixing n-1 and n closes a loop, answered above
             kp = y[n - 2]
-            if kp == n - 1:
-                # y fixes both top points and commutes with E_{n-1}
-                return _scale(_attach(u, f, efn_times_perm(n, f, y)), DELTA)
             # y = h s_{n-1,kp}: E_{n-1} T_{n-2} X E_{n-1} = r E_{n-1} X
             h = perm_mul(y, perm_inv(s_range(n, n - 1, kp)))
             z = perm_mul(h, s_range(n, n - 2, kp))
@@ -408,12 +404,11 @@ def _elem_times_Tinv(n, elem, i):
 
 
 def _block_times_E(n, f, i):
-    """E^{f,n} E_i for any generator index i."""
+    """E^{f,n} E_i for a generator index i that is no pair's own cup
+    (callers meet that case as a closed loop first)."""
     m = n - 2 * f
     if i <= m - 1:
         return _pure_base(n, f, i)
-    if (i - m) % 2 == 1:
-        return {word_efn(n, f): DELTA}
     # i sits between two contracted pairs: E_{i+1} E_i = E_{i+1} T_i T_{i+1}
     z = perm_mul(apply_right_s(perm_id(n), i), apply_right_s(perm_id(n), i + 1))
     return _attach(perm_id(n), f, efn_times_perm(n, f, z))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import is_prime
+from .coeff import either, is_prime
 from .combin import (forbidden_r_values, hook_lengths, is_e_restricted,
                      nu_ep, partitions)
 
@@ -63,35 +63,12 @@ def set_Z(n):
     return out
 
 
-def _cond_2q4q6q8(spec):
-    """2(q^4+1)(q^6+1)(q^8+1) = 0 under the spec; None when undecidable."""
-    if spec.char() == 2:
-        return True
-    vals = [spec.q_power_is(m, -1) for m in (4, 6, 8)]
-    if any(v is True for v in vals):
-        return True
-    if any(v is None for v in vals):
-        return None
-    return False
-
-
-def _cond_q4_plus_1(spec):
-    if spec.char() == 2:
-        return spec.q_power_is(4, 1)
-    return spec.q_power_is(4, -1)
-
-
 def classify_bmw(n, spec):
     """Decide singularity of the defining parameters for degree n."""
     if n < 2:
         raise ValueError("needs n >= 2")
-    e = spec.order_qsq()
-    if e is not None and e <= n - 2:
-        sp = spec.r_signed_power()
-        if sp is None:
-            return Verdict(None, "indeterminate",
-                           notes="cannot decide r in {±q^a}")
-        return Verdict(bool(sp), "main.2")
+    if spec.e is not None and spec.e <= n - 2:
+        return Verdict(spec.r_sign != 0, "main.2")
     inpair = spec.r_in_inverse_pair()
     if inpair is None:
         return Verdict(None, "indeterminate",
@@ -113,12 +90,13 @@ def classify_bmw(n, spec):
     if n % 2 == 0 or n >= 7:
         return Verdict(True, "main.1.2.a")
     if n == 3:
-        cond = _cond_q4_plus_1(spec)
+        cond = spec.unit_eq_one(-1, 4)
         if cond is None:
             return Verdict(None, "indeterminate", notes="q^4 = -1 undecided")
         return Verdict(bool(cond), "main.1.2.b")
     if n == 5:
-        cond = _cond_2q4q6q8(spec)
+        cond = either(spec.p == 2,
+                      *(spec.unit_eq_one(-1, m) for m in (4, 6, 8)))
         if cond is None:
             return Verdict(None, "indeterminate",
                            notes="2(q^4+1)(q^6+1)(q^8+1) = 0 undecided")
@@ -188,13 +166,12 @@ def nonzero_gram_criterion(cell_n, f, lam, spec):
             raise ValueError("undetermined spec for forbidden r values")
         if hit:
             return False
-    e = spec.order_qsq()
-    if not is_e_restricted(lam, e):
+    if not is_e_restricted(lam, spec.e):
         return False
-    p = spec.char()
     hooks = hook_lengths(lam)
     for i in range(1, len(lam) + 1):
-        row = [nu_ep(hooks[(i, j)], e, p) for j in range(1, lam[i - 1] + 1)]
+        row = [nu_ep(hooks[(i, j)], spec.e, spec.p)
+               for j in range(1, lam[i - 1] + 1)]
         if len(set(row)) > 1:
             return False
     return True
@@ -205,14 +182,13 @@ def simple_labels(n, spec):
     inpair = spec.r_in_inverse_pair()
     if inpair is None:
         raise ValueError("cannot decide r in {q^-1, -q}")
-    e = spec.order_qsq()
     out = []
     fmax = n // 2
     for f in range(fmax + 1):
         if inpair and n % 2 == 0 and f == fmax:
             continue
         for lam in partitions(n - 2 * f):
-            if is_e_restricted(lam, e):
+            if is_e_restricted(lam, spec.e):
                 out.append((f, lam))
     return out
 
@@ -220,10 +196,10 @@ def simple_labels(n, spec):
 def b3_witness(n, spec):
     """Explicit witness cells ((l, mu), (f, lam)) for the root-of-unity
     singular regime e <= n-2, r = ±q^a."""
-    e = spec.order_qsq()
+    e = spec.e
     if e is None or e > n - 2:
         raise ValueError("witness table applies only when e <= n - 2")
-    if not spec.r_signed_power():
+    if spec.r_sign == 0:
         raise ValueError("witness table needs r = ±q^a")
     sign, a = spec.reduced_r_exponent()
     b = a + 1
@@ -245,7 +221,7 @@ def b3_witness(n, spec):
                 return pair((n - b - 5) // 2, (3, 2) + (1,) * b,
                             (n - b - 3) // 2, (2, 2) + (1,) * (b - 1))
             # b = n-3 forces e = n-3 and r = -q^{-1}
-            if spec.char() == 2:
+            if spec.p == 2:
                 raise ValueError("regime empty in characteristic 2")
             if n % 2 == 0:
                 return pair((n - 4) // 2, (3, 1), (n - 2) // 2, (2,))

@@ -51,12 +51,14 @@ def _parse_rform(text):
 
 
 def _spec_from_args(args):
-    concrete = [getattr(args, name, None) for name in ("q0", "r0")]
-    if any(v is not None for v in concrete):
+    if args.q0 is not None or args.r0 is not None:
         if args.p in (None, 0):
             raise ValueError("concrete specs need a prime --p")
         if args.q0 is None or args.r0 is None:
             raise ValueError("concrete specs need both --q0 and --r0")
+        if any(getattr(args, name) is not None for name in ("e", "r", "qe")):
+            raise ValueError("a concrete point --q0 --r0 fixes e, r and the "
+                             "sign of q^e; do not also give --e, --r or --qe")
         return ParamSpec.concrete(args.p, args.q0, args.r0)
     e = None if args.e in (None, 0) else args.e
     p = None if args.p in (None, 0) else args.p
@@ -73,14 +75,13 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _add_spec_args(sub, concrete=True):
+def _add_spec_args(sub):
     sub.add_argument("--r", help="r=generic or ±q^a, e.g. q^-1, -q^3")
     sub.add_argument("--e", type=int, help="order of q^2 (0 = infinite)")
     sub.add_argument("--p", type=int, help="characteristic (0 = zero)")
     sub.add_argument("--qe", choices=["+1", "-1"], help="sign of q^e")
-    if concrete:
-        sub.add_argument("--q0", type=int, help="concrete q over GF(p)")
-        sub.add_argument("--r0", type=int, help="concrete r over GF(p)")
+    sub.add_argument("--q0", type=int, help="concrete q over GF(p)")
+    sub.add_argument("--r0", type=int, help="concrete r over GF(p)")
 
 
 def build_parser():

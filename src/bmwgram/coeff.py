@@ -540,10 +540,15 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """A parameter regime: e = ord(q^2) (None for infinite), characteristic
-    p (None for char 0), r either GENERIC (r_sign = 0) or the signed power
-    r = r_sign * q^r_exp, and qe_sign = sign of q^e (0 when unknown; only
-    meaningful for odd finite e away from char 2).
+    """A parameter regime, read straight from its fields: e = ord(q^2)
+    (None for infinite), the characteristic p (None for char 0), r either
+    GENERIC (r_sign = 0) or the signed power r = r_sign * q^r_exp, and
+    qe_sign = the sign of q^e (0 when unknown; -1 at even e and +1 in
+    char 2, where -1 = 1).
+
+    A q-power question sign * q^m = 1 goes through unit_eq_one, which
+    answers True, False or None (turns on an unknown sign of q^e); either()
+    folds several such answers into one.
 
     A concrete spec is a point q0, r0 of GF(p)*, q0^2 != 1, and the regime
     it fixes: e = ord(q0^2), qe_sign = the sign of q0^e, and r = ±q0^a with
@@ -577,10 +582,14 @@ class ParamSpec:
                 sign = 1
             if e is not None:
                 exp %= 2 * e
-        if e is not None and e % 2 == 0:
-            qe = 1 if p == 2 else -1
-        elif p == 2:
+        if p == 2:
             qe = 1
+        elif e is not None and e % 2 == 0:
+            # (q^e)^2 = 1 and q^e != 1, since ord(q^2) = e
+            if qe == 1:
+                raise ValueError("q^e = +1 contradicts ord(q^2) = %d "
+                                 "outside characteristic 2" % e)
+            qe = -1
         return cls(e=e, p=p, r_sign=sign, r_exp=exp, qe_sign=qe)
 
     @classmethod
@@ -605,30 +614,12 @@ class ParamSpec:
         qe = 1 if pow(q0, e, p) == 1 else -1
         return replace(cls.symbolic(e=e, p=p, r=r, qe=qe), q0=q0, r0=r0)
 
-    # -- shared views ------------------------------------------------------
     def is_concrete(self):
         return self.q0 is not None
 
-    def char(self):
-        return self.p
-
-    def order_qsq(self):
-        """ord(q^2); None means infinite order."""
-        return self.e
-
-    def sign_q_to_e(self):
-        """Sign of q^e in {+1, -1, 0=unknown}; char 2 counts as +1."""
-        return self.qe_sign
-
-    # q^m = sign decision; True / False / None(undetermined)
-    def q_power_is(self, m, sign):
-        return eval_sign_condition(m, sign, self)
-
     def unit_eq_one(self, sign, m):
         """Decide sign * q^m = 1 (folding signs away in char 2)."""
-        if self.p == 2:
-            return self.q_power_is(m, 1)
-        return self.q_power_is(m, sign)
+        return eval_sign_condition(m, 1 if self.p == 2 else sign, self)
 
     def r_equals(self, sign, a):
         """Decide r = sign * q^a; None if symbolic data cannot tell."""
@@ -638,19 +629,7 @@ class ParamSpec:
 
     def r_in_inverse_pair(self):
         """Decide r in {q^-1, -q}."""
-        e1 = self.r_equals(1, -1)
-        if e1 is True:
-            return True
-        e2 = self.r_equals(-1, 1)
-        if e2 is True:
-            return True
-        if e1 is None or e2 is None:
-            return None
-        return False
-
-    def r_signed_power(self):
-        """Decide r in {q^a, -q^b : a, b integers}."""
-        return self.r_sign != 0
+        return either(self.r_equals(1, -1), self.r_equals(-1, 1))
 
     def reduced_r_exponent(self):
         """Return (sign, a) with r = sign*q^a and 0 <= a < e.
@@ -666,10 +645,9 @@ class ParamSpec:
         sign, a = self.r_sign, self.r_exp % (2 * e)
         flips, a = divmod(a, e)
         if flips % 2:
-            s = self.sign_q_to_e()
-            if s == 0:
+            if self.qe_sign == 0:
                 raise ValueError("q^e sign unknown; cannot reduce exponent")
-            sign *= s
+            sign *= self.qe_sign
         return (sign, a)
 
     # -- rendering ----------------------------------------------------------
@@ -693,7 +671,7 @@ def eval_sign_condition(m, sign, spec):
 
     Returns True, False or None; None only when the answer depends on the
     unknown sign of q^e.  In char 2 the target -1 is never reported true
-    (callers fold 2 = 0 separately).
+    (ParamSpec.unit_eq_one folds the sign to +1 first).
     """
     e, p = spec.e, spec.p
     if sign < 0 and p == 2:
@@ -704,13 +682,19 @@ def eval_sign_condition(m, sign, spec):
         return False
     if m % e != 0:
         return False
-    t = m // e
-    s = spec.sign_q_to_e()
-    if t % 2 == 0:
-        val = 1
-    elif s == 0:
+    if (m // e) % 2 == 0:
+        return sign == 1
+    if spec.qe_sign == 0:
         return None
-    else:
-        val = s
-    return val == sign
+    return spec.qe_sign == sign
+
+
+def either(*answers):
+    """Fold True / None / False answers: True if any is True, else None if
+    any is None (undetermined), else False."""
+    if True in answers:
+        return True
+    if None in answers:
+        return None
+    return False
 

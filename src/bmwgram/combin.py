@@ -8,11 +8,10 @@ left multiplication swaps positions i, i+1.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .coeff import LaurentPoly
-
-INF = None  # spelled e=None / p=None throughout
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def num_std_tableaux(lam):
 
 def is_e_restricted(lam, e):
     """lam_i - lam_{i+1} < e for all i (trailing part against 0)."""
-    if e is INF:
+    if e is None:
         return True
     parts = list(lam) + [0]
     return all(parts[i] - parts[i + 1] < e for i in range(len(lam)))
@@ -159,9 +158,9 @@ def is_e_restricted(lam, e):
 
 def nu_ep(h, e, p):
     """nu_p(h/e) when e is finite and divides h, else -1; nu_infinity = 0."""
-    if e is INF or h % e != 0:
+    if e is None or h % e != 0:
         return -1
-    if p is INF:
+    if p is None:
         return 0
     x = h // e
     v = 0
@@ -330,6 +329,34 @@ def _matchings(nodes):
             yield ((first, nodes[k]),) + sub
 
 
+def _pairings(lam, mu):
+    """Each perfect matching of the skew nodes of lam/mu, as one
+    (s, kind, component) per pair: s is the sum of the two nodes' diagonals
+    j - i, kind is "v" (vertical domino), "h" (horizontal domino) or None,
+    and component indexes the connected component of the pair's first
+    node.  With r = sign * q^a, every condition reads only s: the content
+    product is q^{2(a+s)}, a vertical domino is marked iff
+    sign * q^{a+s} = 1 and a horizontal one iff -sign * q^{a+s} = 1."""
+    comp_of = {node: idx
+               for idx, comp in enumerate(_skew_components(lam, mu))
+               for node in comp}
+    nodes = sorted(comp_of)
+    pair = {}
+    for k, lo in enumerate(nodes):
+        for hi in nodes[k + 1:]:
+            kind = ("v" if hi == (lo[0] + 1, lo[1]) else
+                    "h" if hi == (lo[0], lo[1] + 1) else None)
+            pair[lo, hi] = (lo[1] - lo[0] + hi[1] - hi[0], kind, comp_of[lo])
+    for matching in _matchings(nodes):
+        yield [pair[p] for p in matching]
+
+
+def _even_marks(marked):
+    """Whether each (kind, component) among the marked dominoes occurs an
+    even number of times."""
+    return all(c % 2 == 0 for c in Counter(marked).values())
+
+
 def is_admissible(lam, mu, f, spec):
     """Whether lam is an admissible extension of mu under the regime.
 
@@ -347,46 +374,21 @@ def is_admissible(lam, mu, f, spec):
         return False
     if f == 0:
         return lam == mu
-    nodes = sorted(set(cells(lam)) - set(cells(mu)))
     if spec.r_sign == 0:
         return False
-    sign, aexp = spec.r_sign, spec.r_exp
+    sign, a = spec.r_sign, spec.r_exp
 
-    def _decide(value):
+    def holds(unit, m):
+        value = spec.unit_eq_one(unit, m)
         if value is None:
             raise ValueError("undetermined parameter regime")
         return value
 
-    def pair_ok(p1, p2):
-        d1 = p1[1] - p1[0]
-        d2 = p2[1] - p2[0]
-        return _decide(spec.q_power_is(2 * (aexp + d1 + d2), 1))
-
-    def vert_marked(top):
-        return _decide(spec.unit_eq_one(sign,
-                                        aexp + 2 * (top[1] - top[0]) - 1))
-
-    def horiz_marked(left):
-        return _decide(spec.unit_eq_one(-sign,
-                                        aexp + 2 * (left[1] - left[0]) + 1))
-
-    comp_of = {}
-    for idx, comp in enumerate(_skew_components(lam, mu)):
-        for node in comp:
-            comp_of[node] = idx
-    for matching in _matchings(nodes):
-        if not all(pair_ok(p1, p2) for p1, p2 in matching):
-            continue
-        vcount = {}
-        hcount = {}
-        for p1, p2 in matching:
-            lo, hi = min(p1, p2), max(p1, p2)
-            if hi == (lo[0] + 1, lo[1]) and vert_marked(lo):
-                vcount[comp_of[lo]] = vcount.get(comp_of[lo], 0) + 1
-            elif hi == (lo[0], lo[1] + 1) and horiz_marked(lo):
-                hcount[comp_of[lo]] = hcount.get(comp_of[lo], 0) + 1
-        if all(c % 2 == 0 for c in vcount.values()) and \
-                all(c % 2 == 0 for c in hcount.values()):
+    for pairs in _pairings(lam, mu):
+        if all(holds(1, 2 * (a + s)) for s, _kind, _comp in pairs) and \
+                _even_marks([(kind, comp) for s, kind, comp in pairs
+                             if kind and holds(sign if kind == "v" else -sign,
+                                               a + s)]):
             return True
     return False
 
@@ -396,35 +398,21 @@ def generic_admissible_r(lam, mu, f):
     over the complex field with q^2 of infinite order.
 
     Generically a pairing has content product 1 iff every pair's diagonal
-    sum equals -a; the parity conditions mark adjacent pairs by the sign.
+    sum s equals -a, and then sign * q^{a+s} = sign marks every vertical
+    domino when sign = +1 and every horizontal one when sign = -1.
     """
     if sum(lam) != sum(mu) + 2 * f or f == 0 or not contains(lam, mu):
         return set()
-    nodes = sorted(set(cells(lam)) - set(cells(mu)))
-    comp_of = {}
-    for idx, comp in enumerate(_skew_components(lam, mu)):
-        for node in comp:
-            comp_of[node] = idx
     out = set()
-    for matching in _matchings(nodes):
-        sums = {(p1[1] - p1[0]) + (p2[1] - p2[0]) for p1, p2 in matching}
+    for pairs in _pairings(lam, mu):
+        sums = {s for s, _kind, _comp in pairs}
         if len(sums) != 1:
             continue
         a = -sums.pop()
-        # generically a vertical pair has top content ±q (marked when +)
-        # and a horizontal pair left content ±q^{-1} (marked when -)
-        vcount = {}
-        hcount = {}
-        for p1, p2 in matching:
-            lo, hi = min(p1, p2), max(p1, p2)
-            if hi == (lo[0] + 1, lo[1]):
-                vcount[comp_of[lo]] = vcount.get(comp_of[lo], 0) + 1
-            elif hi == (lo[0], lo[1] + 1):
-                hcount[comp_of[lo]] = hcount.get(comp_of[lo], 0) + 1
-        if all(c % 2 == 0 for c in vcount.values()):
-            out.add((1, a))
-        if all(c % 2 == 0 for c in hcount.values()):
-            out.add((-1, a))
+        for sign, marked in ((1, "v"), (-1, "h")):
+            if _even_marks([(kind, comp) for _s, kind, comp in pairs
+                            if kind == marked]):
+                out.add((sign, a))
     return out
 
 

@@ -57,13 +57,12 @@ def singular_oracle(n, spec):
     if not 0 <= n <= DEFAULT_MAX_N:
         raise ValueError("degree %d outside the budget 0..%d"
                          % (n, DEFAULT_MAX_N))
-    e = spec.order_qsq()
     table = []
     first = None
     singular = False
     for f in range(1, n // 2 + 1):
         for lam in partitions(n - 2 * f):
-            if not is_e_restricted(lam, e):
+            if not is_e_restricted(lam, spec.e):
                 continue
             dim_head = (specialized_rank(_gram(n - 2 * f, 0, lam), spec)
                         if lam else 1)

@@ -174,8 +174,7 @@ def suite_witnesses(ns=(4, 5), primes=(5, 7, 11, 13)):
     bad = []
     for n in ns:
         for spec in sweep_specs(primes):
-            e = spec.order_qsq()
-            if e is None or e > n - 2 or not spec.r_signed_power():
+            if spec.e is None or spec.e > n - 2 or spec.r_sign == 0:
                 continue
             count += 1
             (l, mu), (f, lam) = CL.b3_witness(n, spec)
@@ -195,14 +194,13 @@ def suite_hecke(primes=(5, 7, 11, 13)):
     out = []
     bad = []
     for spec in sweep_specs(primes):
-        e = spec.order_qsq()
         for m in range(1, 6):
             for lam in partitions(m):
                 rank = specialized_rank(_gram(m, 0, lam), spec)
-                if e is not None and e > m:
+                if spec.e is not None and spec.e > m:
                     if rank != num_std_tableaux(lam):
                         bad.append((str(spec), lam, "semisimple rank"))
-                if (rank > 0) != is_e_restricted(lam, e):
+                if (rank > 0) != is_e_restricted(lam, spec.e):
                     bad.append((str(spec), lam, "restriction criterion"))
     out.append(("Specht rank criteria over the sweep", not bad, str(bad[:5])))
     return out

@@ -86,8 +86,7 @@ def test_b3_witness_invariants():
     from bmwgram.oracle import sweep_specs
     for n in (4, 5, 6, 7):
         for spec in sweep_specs((5, 7, 11, 13)):
-            e = spec.order_qsq()
-            if e is None or e > n - 2 or not spec.r_signed_power():
+            if spec.e is None or spec.e > n - 2 or spec.r_sign == 0:
                 continue
             try:
                 (l, mu), (f, lam) = CL.b3_witness(n, spec)

@@ -155,6 +155,37 @@ def test_malformed_r(capsys, argv):
     assert captured.err == "error: r must be generic or ±q^a\n"
 
 
+CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
+                         "the sign of q^e; do not also give --e, --r or --qe")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["classify", "--n", "4", "--p", "7", "--q0", "2", "--r0", "4",
+      "--e", "5", "--r=-q", "--qe=-1"], CONCRETE_FIXES_REGIME),
+    (["classify", "--n", "4", "--p", "7", "--q0", "2", "--r0", "4",
+      "--qe=-1"], CONCRETE_FIXES_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--rank",
+      "--p", "7", "--q0", "2", "--r0", "4", "--e", "9"],
+     CONCRETE_FIXES_REGIME),
+    (["classify", "--n", "3", "--e", "4", "--qe=+1", "--r", "q^-1"],
+     "error: q^e = +1 contradicts ord(q^2) = 4 outside characteristic 2"),
+], ids=["classify-e-r-qe", "classify-qe", "gram-rank-e", "qe-plus-even-e"])
+def test_contradictory_regime_refused(capsys, argv, error):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == error + "\n"
+
+
+def test_char_2_folds_qe_at_even_e(capsys):
+    # -1 = +1 in characteristic 2, so q^e = +1 is no contradiction there
+    rc, out = run(capsys, ["classify", "--n", "3", "--e", "4", "--p", "2",
+                           "--qe=+1", "--r", "q^-1"])
+    assert rc == 0
+    assert out == "singular: True\nclause: main.1.2.b\n"
+
+
 @pytest.mark.parametrize("n", [-3, -1, DIMS_MAX_N + 1, 200])
 def test_dims_rejects_out_of_budget(capsys, n):
     rc = main(["dims", "--n", str(n)])

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from bmwgram.coeff import (LaurentPoly, ParamSpec, eval_sign_condition,
-                           multiplicative_order, parse_poly)
+from bmwgram.coeff import (LaurentPoly, ParamSpec, either,
+                           eval_sign_condition, multiplicative_order,
+                           parse_poly)
 from bmwgram.oracle import sweep_specs
 
 L = LaurentPoly
@@ -234,9 +236,9 @@ def test_concrete_predicates_match_gf():
         p, q0, r0 = spec.p, spec.q0, spec.r0
         e = gf_order_qsq(p, q0)
         log = gf_signed_log(p, q0, r0, e)
-        assert spec.order_qsq() == e
-        assert spec.sign_q_to_e() == (1 if pow(q0, e, p) == 1 else -1)
-        assert spec.r_signed_power() == (log is not None)
+        assert spec.e == e
+        assert spec.qe_sign == (1 if pow(q0, e, p) == 1 else -1)
+        assert (spec.r_sign != 0) == (log is not None)
         if log is not None:
             assert spec.reduced_r_exponent() == log
         else:
@@ -247,7 +249,8 @@ def test_concrete_predicates_match_gf():
         for m in range(-3 * e, 3 * e + 1):
             for sign in (1, -1):
                 want = gf_is(p, pow(q0, m, p), sign)
-                assert spec.q_power_is(m, sign) == want, (str(spec), m, sign)
+                assert eval_sign_condition(m, sign, spec) == want, \
+                    (str(spec), m, sign)
                 assert spec.unit_eq_one(sign, m) == want
                 assert spec.r_equals(sign, m) == \
                     gf_is(p, sign * pow(q0, m, p) - r0, 0), (str(spec), m)
@@ -262,6 +265,26 @@ def test_param_spec_invariants():
     assert s.qe_sign == -1 and s.r_exp == 1
     s2 = ParamSpec.symbolic(e=4, p=2, r=(-1, 3))
     assert s2.qe_sign == 1 and s2.r_sign == 1
+    # ord(q^2) = e even forces q^e = -1, except that -1 = +1 in char 2
+    for p in (None, 3, 5, 7):
+        assert ParamSpec.symbolic(e=4, p=p, qe=-1).qe_sign == -1
+        with pytest.raises(ValueError, match="contradicts"):
+            ParamSpec.symbolic(e=4, p=p, qe=1)
+    assert ParamSpec.symbolic(e=4, p=2, qe=1).qe_sign == 1
+    assert ParamSpec.symbolic(e=5, p=7, qe=1).qe_sign == 1
+
+
+def test_either_folds_answers():
+    assert either() is False
+    for size in range(1, 4):
+        for answers in itertools.product((True, None, False), repeat=size):
+            if any(a is True for a in answers):
+                want = True
+            elif any(a is None for a in answers):
+                want = None
+            else:
+                want = False
+            assert either(*answers) is want, answers
 
 
 def test_char_2_folds_signs():

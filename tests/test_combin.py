@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import (_matchings, _skew_components, apply_right_s,
+from bmwgram.combin import (_even_marks, _matchings, _pairings,
+                            _skew_components, apply_right_s,
                             cells, conjugate, contains, d_of, dangle_data,
                             dfn, dfn_size, dominates, forbidden_r_values,
                             hook_lengths, is_admissible, is_e_restricted,
@@ -139,6 +140,25 @@ def test_admissible_examples():
     assert is_admissible((1, 1), (), 1, sp(1, 1)) is False
     with pytest.raises(ValueError):
         is_admissible((2, 1), (), 1, sp(1, 1))
+
+
+def test_pairings_read_diagonal_sums():
+    assert list(_pairings((2,), ())) == [[(1, "h", 0)]]
+    assert list(_pairings((1, 1), ())) == [[(-1, "v", 0)]]
+    # (3,3,1,1)/(2,2) is two vertical dominoes, one per component
+    pairings = list(_pairings((3, 3, 1, 1), (2, 2)))
+    assert sorted(sorted((s, kind) for s, kind, _comp in pairs)
+                  for pairs in pairings) == [[(-5, "v"), (3, "v")],
+                                             [(-2, None), (0, None)],
+                                             [(-1, None), (-1, None)]]
+    dominoes = [pairs for pairs in pairings if all(k for _s, k, _c in pairs)]
+    (_s1, _k1, c1), (_s2, _k2, c2) = dominoes[0]
+    assert c1 != c2
+    # parity is per component and per kind
+    assert not _even_marks([("v", c1), ("v", c2)])
+    assert not _even_marks([("v", 0), ("h", 0)])
+    assert _even_marks([("v", 0), ("h", 1), ("h", 1), ("v", 0)])
+    assert _even_marks([])
 
 
 def gf_admissible(lam, mu, f, p, q0, r0):

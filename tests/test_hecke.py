@@ -100,7 +100,7 @@ def test_rank_semisimple_and_restriction():
              ParamSpec.concrete(11, 2, 1), ParamSpec.concrete(13, 2, 1),
              ParamSpec.concrete(13, 5, 1)]
     for spec in specs:
-        e = spec.order_qsq()
+        e = spec.e
         for m in range(1, 6):
             for lam in partitions(m):
                 rank = specht_rank(lam, spec)

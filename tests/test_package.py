@@ -1,6 +1,7 @@
 """Invariants of the package source, checked on its syntax tree: it imports
-only the standard library and itself, and it has no ``assert`` statement
-(``python -O`` strips those, so no check may rest on one)."""
+only the standard library and itself, it has no ``assert`` statement
+(``python -O`` strips those, so no check may rest on one), and every
+module-level function or class is used somewhere."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 import bmwgram
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(bmwgram.__file__))
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+USER_DIRS = ("src", "tests", "bench", "tools")
 
 
 def package_trees():
@@ -43,3 +46,38 @@ def test_no_assert_statements():
     found = [(name, node.lineno) for name, tree in package_trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found
+
+
+def _used_names(tree):
+    """Names read, as a Name or an attribute, or imported anywhere in the
+    tree, except inside the top-level definition of that same name (a
+    recursive call is no use)."""
+    used = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                continue
+            used.update(name for name in names if name != own)
+    return used
+
+
+def test_no_dead_module_level_names():
+    used = set()
+    for top in USER_DIRS:
+        for root, _dirs, files in os.walk(os.path.join(REPO_DIR, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name)) as fh:
+                        used |= _used_names(ast.parse(fh.read()))
+    dead = [(name, node.name) for name, tree in package_trees()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+    assert not dead
