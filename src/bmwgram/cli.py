@@ -61,6 +61,9 @@ def _spec_from_args(args):
                              "sign of q^e; do not also give --e, --r or --qe")
         return ParamSpec.concrete(args.p, args.q0, args.r0)
     e = None if args.e in (None, 0) else args.e
+    if e is None and args.qe is not None:
+        raise ValueError("--qe needs a finite order --e: q^e has no sign "
+                         "when ord(q^2) is infinite")
     p = None if args.p in (None, 0) else args.p
     r = _parse_rform(args.r) if args.r is not None else "generic"
     qe = {"+1": 1, "-1": -1, None: 0}[args.qe]

@@ -1,5 +1,5 @@
-"""Exact linear algebra kernels: fraction-free determinants and prime-field
-ranks.  No floating point anywhere."""
+"""Exact linear algebra kernels: fraction-free determinants, certified zero
+determinants and prime-field ranks.  No floating point anywhere."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from .coeff import LaurentPoly
 
 def bareiss_det(matrix):
     """Exact determinant of a square matrix of LaurentPoly entries, by
-    Kronecker substitution and one fraction-free elimination over Z.
+    Kronecker substitution and one exact integer determinant
+    (``_int_det``).
 
     The entries are brought over their common denominator w^k, and each
     row is shifted by its lowest exponents of q and of r; the determinant
@@ -28,10 +29,12 @@ def bareiss_det(matrix):
     2^(width - 1) > H send such a polynomial to the integer whose balanced
     base-2^width digits are its coefficients, q^a r^b at digit
     a + b (S + 1).  The map is injective on the minors, so Bareiss' pivots
-    and exact divisions over Z are those of the polynomial ring, and the
-    result is exact, with no prime and no probabilistic step (von zur
+    and exact divisions over Z are those of the polynomial ring (von zur
     Gathen and Gerhard, Modern Computer Algebra, 8.4; Bareiss, Math.
-    Comp. 22, 1968).
+    Comp. 22, 1968), and the integer determinant is 0 exactly when the
+    polynomial one is.  A zero is proved by an integer kernel vector,
+    every other value by Bareiss: the result is exact and deterministic,
+    and the prime of the rank pre-pass decides only which proof runs.
     """
     n = len(matrix)
     if n == 0:
@@ -73,15 +76,42 @@ def bareiss_det(matrix):
     return LaurentPoly(out, k * n)
 
 
+# The prime of _int_det's rank pre-pass.  2 has order (P - 1)/2 modulo P,
+# so the substituted q -> 2^width is no root of unity of small order there;
+# modulo the Mersenne prime 2^61 - 1, 2 has order 61, and factors such as
+# r - q^a of a determinant at generic r would vanish far more often.
+PIVOT_PRIME = (1 << 62) - 57
+
+
 def _int_det(m):
-    """Determinant of a square integer matrix by Bareiss' fraction-free
-    elimination; m is overwritten.  Each division is exact, and a nonzero
-    remainder raises ArithmeticError."""
+    """Determinant of a square integer matrix m; m is overwritten.
+
+    A forward elimination over GF(PIVOT_PRIME) first picks pivot rows R and
+    columns C, so m[R, C] is nonsingular modulo the prime and hence over Z.
+    When the rank modulo the prime falls short, one column outside C gives
+    a candidate kernel vector v (``_kernel_certifies_zero``); if m v = 0
+    holds exactly, the determinant is 0.  Otherwise, and whenever the rank
+    is full, Bareiss' elimination computes it.  The prime decides only how
+    fast the answer comes, never what it is: 0 is returned only for a
+    verified nonzero kernel vector."""
     n = len(m)
+    rows, cols = _gf_pivots(m, PIVOT_PRIME)
+    if len(rows) < n and _kernel_certifies_zero(m, rows, cols):
+        return 0
+    return _bareiss(m, n)
+
+
+def _bareiss(m, ncols):
+    """Bareiss' fraction-free forward elimination of the k rows of m, in
+    place: pivots in the first k columns, and each pivot updates the
+    columns right of it up to ``ncols``.  Returns the determinant of the
+    leading k x k block, 0 once one of its columns has no pivot left.  Each
+    division is exact, and a nonzero remainder raises ArithmeticError."""
+    k = len(m)
     sign = 1
     prev = 1
-    for col in range(n):
-        for piv in range(col, n):
+    for col in range(k):
+        for piv in range(col, k):
             if m[piv][col]:
                 break
         else:
@@ -93,13 +123,67 @@ def _int_det(m):
         pv = top[col]
         for row in m[col + 1:]:
             c = row[col]
-            for j in range(col + 1, n):
+            for j in range(col + 1, ncols):
                 quo, rem = divmod(row[j] * pv - c * top[j], prev)
                 if rem:
                     raise ArithmeticError("inexact division")
                 row[j] = quo
         prev = pv
     return sign * prev
+
+
+def _gf_pivots(m, p):
+    """Pivot rows and columns, in pivot order, of a forward elimination of
+    the integer matrix m over GF(p).  The submatrix on them is nonsingular
+    modulo p, and their number is the rank modulo p."""
+    rest = [(i, [x % p for x in row]) for i, row in enumerate(m)]
+    rows, cols = [], []
+    for col in range(len(m[0])):
+        for k, (_i, row) in enumerate(rest):
+            if row[0]:
+                break
+        else:
+            rest = [(i, row[1:]) for i, row in rest]
+            continue
+        i, top = rest.pop(k)
+        rows.append(i)
+        cols.append(col)
+        inv = pow(top[0], -1, p)
+        top = top[1:]
+        reduced = []
+        for i, row in rest:
+            c = row[0] * inv % p
+            reduced.append((i, [(a - c * b) % p for a, b in zip(row[1:], top)]
+                            if c else row[1:]))
+        rest = reduced
+    return rows, cols
+
+
+def _kernel_certifies_zero(m, rows, cols):
+    """Whether a nonzero v with m v = 0 over Z comes out of the first column
+    c outside ``cols``, given that m[rows, cols] is nonsingular.
+
+    With d = det m[rows, cols], Cramer's rule makes the solution x of
+    m[rows, cols] x = d m[rows, c] integral: fraction-free elimination of
+    the augmented rows and exact back-substitution find it.  Then
+    v = (x on cols, -d at c) is nonzero and m[rows] v = 0; it is a kernel
+    vector of m exactly when the rows outside ``rows`` vanish on it too,
+    which one product with every row decides."""
+    c = next(j for j in range(len(m[0])) if j not in cols)
+    rank = len(cols)
+    aug = [[m[i][j] for j in cols] + [m[i][c]] for i in rows]
+    d = _bareiss(aug, rank + 1)
+    x = [0] * rank
+    for i in reversed(range(rank)):
+        row = aug[i]
+        acc = d * row[rank] - sum(row[j] * x[j] for j in range(i + 1, rank))
+        x[i], rem = divmod(acc, row[i])
+        if rem:
+            raise ArithmeticError("inexact division")
+    support = cols + [c]
+    x.append(-d)
+    return not any(sum(row[j] * xj for j, xj in zip(support, x))
+                   for row in m)
 
 
 def gf_rank(rows, p):

@@ -158,6 +158,9 @@ def test_malformed_r(capsys, argv):
 CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
                          "the sign of q^e; do not also give --e, --r or --qe")
 
+QE_NEEDS_E = ("error: --qe needs a finite order --e: q^e has no sign when "
+              "ord(q^2) is infinite")
+
 
 @pytest.mark.parametrize("argv, error", [
     (["classify", "--n", "4", "--p", "7", "--q0", "2", "--r0", "4",
@@ -169,7 +172,11 @@ CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
      CONCRETE_FIXES_REGIME),
     (["classify", "--n", "3", "--e", "4", "--qe=+1", "--r", "q^-1"],
      "error: q^e = +1 contradicts ord(q^2) = 4 outside characteristic 2"),
-], ids=["classify-e-r-qe", "classify-qe", "gram-rank-e", "qe-plus-even-e"])
+    (["classify", "--n", "3", "--e", "0", "--qe=+1", "--r", "q^-1"],
+     QE_NEEDS_E),
+    (["classify", "--n", "3", "--qe=-1", "--p", "2"], QE_NEEDS_E),
+], ids=["classify-e-r-qe", "classify-qe", "gram-rank-e", "qe-plus-even-e",
+        "qe-infinite-e", "qe-no-e"])
 def test_contradictory_regime_refused(capsys, argv, error):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@
 `gram --output json --subst r=... --det` stdout at r = q^-1 and r = -q,
 recorded while determinants were still computed by fraction-free
 elimination over the Laurent ring (27 cells: 1, 3, 4, 8 and 11 per
-degree)."""
+degree), and two 45-dimensional n = 6 determinants that vanish."""
 
 import contextlib
 import hashlib
@@ -86,3 +86,16 @@ def test_det_json_matches_fixture(n):
         if digest != DET_JSON_SHA256[(n, f, lam, r)]:
             wrong.append((f, lam, r))
     assert not wrong
+
+
+@pytest.mark.parametrize("f, lam, r", [(2, "(1,1)", "-q"), (2, "(2)", "q^-1")])
+def test_n6_zero_determinants(f, lam, r):
+    """Rank 15 of 45: a kernel vector certifies the zero."""
+    argv = ["gram", "--n", "6", "--f", str(f), "--lambda", lam,
+            "--subst", "r=" + r, "--det"]
+    for fmt, want in (([], "det = 0\n"), (["--output", "json"],
+                                          '{\n  "det": "0"\n}\n')):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(fmt + argv) == 0
+        assert out.getvalue() == want

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from bmwgram import exactla
 from bmwgram.coeff import LaurentPoly
-from bmwgram.exactla import bareiss_det, gf_det, gf_rank
+from bmwgram.exactla import PIVOT_PRIME, bareiss_det, gf_det, gf_rank
 from bmwgram.hecke import _divexact
 
 PRIMES = (2, 3, 5, 31, 101)
@@ -112,13 +113,13 @@ def laurent_bareiss_det(matrix):
     return LaurentPoly(det.terms, det.wexp + k * n)
 
 
-def _random_entry(rng, nterms, height, wmax):
-    """Up to nterms monomials c q^a r^b with a, b in [-4, 4] and
+def _random_entry(rng, nterms, height, wmax, spread=4):
+    """Up to nterms monomials c q^a r^b with a, b in [-spread, spread] and
     |c| <= height, over w^j with j <= wmax; zero about a quarter of the
     time."""
     if rng.random() < 0.25:
         return LaurentPoly.zero()
-    terms = {(rng.randint(-4, 4), rng.randint(-4, 4)):
+    terms = {(rng.randint(-spread, spread), rng.randint(-spread, spread)):
              rng.randint(-height, height) for _ in range(nterms)}
     return LaurentPoly(terms, rng.randint(0, wmax))
 
@@ -128,12 +129,16 @@ def _random_matrix(rng, n, nterms, height, wmax):
             for _ in range(n)]
 
 
-def _check_against_reference(matrix):
-    det = bareiss_det(matrix)
-    assert det == laurent_bareiss_det(matrix)
+def _check_at_points(matrix, det):
     for p, q0, r0 in ((1000003, 3, 7), (998244353, 5, 11)):
         rows = [[e.specialize(p, q0, r0) for e in row] for row in matrix]
         assert det.specialize(p, q0, r0) == gf_det(rows, p)
+
+
+def _check_against_reference(matrix):
+    det = bareiss_det(matrix)
+    assert det == laurent_bareiss_det(matrix)
+    _check_at_points(matrix, det)
     return det
 
 
@@ -222,3 +227,72 @@ def test_bareiss_det_reaches_q_degree_bound():
             m.append(row)
         det = _check_against_reference(m)
         assert max(a for a, _b in det.terms) == sum(spans)
+
+
+def _low_rank(a, b, n, zero=0):
+    """The product of a (n x k) and b (k x n): an n x n matrix of rank at
+    most k."""
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), zero)
+             for j in range(n)] for row in a]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bareiss_det_low_rank_certified(n, monkeypatch):
+    """(n x rank) (rank x n) products with rank 1 and n - 2 have
+    determinant 0, and a verified kernel vector, not Bareiss, decides
+    it."""
+    verdicts = []
+    certify = exactla._kernel_certifies_zero
+    monkeypatch.setattr(exactla, "_kernel_certifies_zero",
+                        lambda *args: verdicts.append(certify(*args))
+                        or verdicts[-1])
+    rng = random.Random(9500 + n)
+    for rank in sorted({1, n - 2}):
+        for height, wmax in ((1, 0), (9, 1), (2 ** 8, 0)):
+            a, b = ([[_random_entry(rng, 2, height, wmax, 1)
+                      or LaurentPoly.one() for _ in range(cols)]
+                     for _ in range(rows)]
+                    for rows, cols in ((n, rank), (rank, n)))
+            m = _low_rank(a, b, n, LaurentPoly.zero())
+            det = bareiss_det(m)
+            assert det.is_zero()
+            _check_at_points(m, det)
+    assert verdicts and all(verdicts)
+
+
+# integer matrices whose rank drops modulo PIVOT_PRIME but not over Z
+P = PIVOT_PRIME
+RANK_DROPS_MOD_P = [
+    ([[P, 1], [0, 1]], P),
+    ([[1, 1], [1, 1 + P]], P),
+    ([[P, 0, 0], [0, P, 0], [0, 0, 1]], P * P),
+    ([[2 * P, 3, 5], [P, 1, 2], [0, 4, 7]], -3 * P),
+    ([[-P ** 3, 1], [0, -1]], P ** 3),
+]
+
+
+@pytest.mark.parametrize("matrix, det", RANK_DROPS_MOD_P,
+                         ids=["upper", "P-below", "diagonal", "3x3", "cube"])
+def test_rank_drop_mod_pivot_prime_falls_back(matrix, det):
+    rows, cols = exactla._gf_pivots(matrix, P)
+    assert len(rows) < len(matrix)
+    assert not exactla._kernel_certifies_zero(matrix, rows, cols)
+    assert exactla._int_det([list(row) for row in matrix]) == det
+    constant = [[LaurentPoly({(0, 0): x}) if x else LaurentPoly.zero()
+                 for x in row] for row in matrix]
+    assert bareiss_det(constant) == LaurentPoly({(0, 0): det})
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 6, 10])
+def test_kernel_vector_of_integer_low_rank(size):
+    rng = random.Random(9700 + size)
+    for rank in range(size):
+        a = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(rank)]
+             for _ in range(size)]
+        b = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(size)]
+             for _ in range(rank)]
+        m = _low_rank(a, b, size)
+        rows, cols = exactla._gf_pivots(m, P)
+        assert len(rows) == len(cols) == rank
+        assert exactla._kernel_certifies_zero(m, rows, cols)
+        assert exactla._int_det(m) == 0

@@ -15,7 +15,10 @@ metrics and environment (``source_sha256``, ``git_commit``, ``nproc``,
 ``python``, ``platform``, as ``bench/run.py`` reports them), the median and
 quartiles of each metric on each side, and the number of pairs the change
 won; a pair is won when the change's value is better in the direction
-BENCHMARK.json gives for that metric.  Quartiles are
+BENCHMARK.json gives for that metric.  Each run also keeps ``call_s``, the
+median seconds of every argv over its untraced repetitions (``bench/run.py``
+records them), and the entry's ``call_s`` summarizes those per argv and
+side, so a gain confined to one call shows where it sits.  Quartiles are
 ``statistics.quantiles(..., n=4, method="inclusive")``.  Entries are keyed
 ``<workload> seed=<S> trace=<T>``; an existing file keeps the entries this
 call does not rerun.  Exits 1 if a run fails to produce a result or reports
@@ -45,8 +48,15 @@ def run_bench(checkout, workload, seed, trace):
                                                  proc.stderr.strip()[-500:]))
     env = json.loads(lines[-2])["environment"]
     result = json.loads(lines[-1])
+    call_s = {}
+    for rep in env["repetitions"]:
+        if not rep["traced"]:
+            for argv, seconds in zip(env["argvs"], rep["call_s"]):
+                call_s.setdefault(" ".join(argv), []).append(seconds)
+    call_s = {argv: statistics.median(v) for argv, v in call_s.items()}
     return {"started": start, "correct": result["correct"],
             "environment": {name: env[name] for name in KEPT},
+            "call_s": call_s,
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()}}
@@ -86,6 +96,16 @@ def compare(runs, better):
                      "change": summary(sides["change"]),
                      "pairs_won": won, "pairs": len(by_pair)}
     return out
+
+
+def call_summary(runs):
+    out = {}
+    for run in runs:
+        for argv, seconds in run["call_s"].items():
+            out.setdefault(argv, {}).setdefault(run["side"], []).append(
+                seconds)
+    return {argv: {side: summary(values) for side, values in sides.items()}
+            for argv, sides in out.items()}
 
 
 def main(argv=None):
@@ -130,7 +150,8 @@ def main(argv=None):
                       file=sys.stderr)
         key = "%s seed=%d trace=%d" % (workload, args.seed, args.trace)
         report["workloads"][key] = dict(setting, runs=runs,
-                                        metrics=compare(runs, better))
+                                        metrics=compare(runs, better),
+                                        call_s=call_summary(runs))
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
