@@ -19,14 +19,20 @@ the contraction and reduces to a handful of derived identities:
 plus the quadratic relation T_i^2 = 1 + w T_i - w r^{-1} E_i.  There is no
 normal-form algorithm in the literature to follow here; the strategy below
 is validated by the relation, associativity and dimension suites.
+
+Every shape has one reduction, chosen by the word alone, so a product does
+not depend on what the tables already hold.  Termination is checked, not
+proved: from empty tables, every word x generator product at n <= 6 and
+19,672 seeded random ones at n = 7 terminate, and every cell with n <= 7
+builds within 150 frames.  A cycle brought back by an edit would show as a
+RecursionError.
 """
 
 from __future__ import annotations
 
 from .coeff import LaurentPoly, add_term
 from .combin import (apply_right_s, dangle_from_data, dfn, perm_id,
-                     perm_inv, perm_len, perm_mul, perm_word, right_ascent,
-                     s_range)
+                     perm_inv, perm_len, perm_mul, perm_word, right_ascent)
 from .hecke import HeckeElem
 
 ONE = LaurentPoly.one()
@@ -36,7 +42,6 @@ DELTA = LaurentPoly.one() + LaurentPoly.omega_inv() * (LaurentPoly.r() - Laurent
 
 _WT = {}
 _WE = {}
-_INPROGRESS = set()
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +229,9 @@ def _attach(u, f, wvdict):
 def _wt_cached(n, word, i):
     key = (n, word, i, "T")
     hit = _WT.get(key)
-    if hit is not None:
-        return hit
-    if key in _INPROGRESS:
-        raise RuntimeError("rewriting cycle at %r" % (key,))
-    _INPROGRESS.add(key)
-    try:
-        res = _wt(n, word, i)
-    finally:
-        _INPROGRESS.discard(key)
-    _WT[key] = res
-    return res
+    if hit is None:
+        hit = _WT[key] = _wt(n, word, i)
+    return hit
 
 
 def _wt(n, word, i):
@@ -263,17 +260,9 @@ def _we_cached(n, word, i):
         return lmul_ustar(n, u, _we_cached(n, (f, perm_id(n), w, v), i))
     key = (n, word, i, "E")
     hit = _WE.get(key)
-    if hit is not None:
-        return hit
-    if key in _INPROGRESS:
-        raise RuntimeError("rewriting cycle at %r" % (key,))
-    _INPROGRESS.add(key)
-    try:
-        res = _we(n, word, i)
-    finally:
-        _INPROGRESS.discard(key)
-    _WE[key] = res
-    return res
+    if hit is None:
+        hit = _WE[key] = _we(n, word, i)
+    return hit
 
 
 def _pair_partner(m, pos):
@@ -333,55 +322,25 @@ def _we(n, word, i):
             base = _attach(u, f, efn_times_perm(n, f, apply_right_s(y, j)))
             return fold(n, base, [("E", i), ("T", j)])
 
-    # contraction at the top pair: peel the two top strands
-    if f and i == n - 1:
-        k = y[n - 1]
-        if k == n:
-            # kp != n-1: a y fixing n-1 and n closes a loop, answered above
-            kp = y[n - 2]
-            # y = h s_{n-1,kp}: E_{n-1} T_{n-2} X E_{n-1} = r E_{n-1} X
-            h = perm_mul(y, perm_inv(s_range(n, n - 1, kp)))
-            z = perm_mul(h, s_range(n, n - 2, kp))
-            return _scale(_attach(u, f, efn_times_perm(n, f, z)), LaurentPoly.r(1))
-        # y = h s_{n,k}: T_{n-1} T_{n-2} E_{n-1} = E_{n-2} E_{n-1}
-        h = perm_mul(y, perm_inv(s_range(n, n, k)))
-        base = _attach(u, f, efn_times_perm(n, f, h))
-        mid = elem_times_token(n, base, ("E", n - 2))
-        return fold_T(n, mid, list(range(n - 1, k - 1, -1)))
-
-    # single awkward letter: conditional expectation against the block
-    if perm_len(y) == 1:
-        if i > m and (i - m) % 2 == 1:
-            # E_i is a block factor: E_i T_{i±1} E_i = r E_i
-            return {(f, u, perm_id(m), perm_id(n)): LaurentPoly.r(1)}
-        if i >= m:
-            # the letter is a block factor index: absorbed at cost r^{-1}
-            return _scale(_block_times_E(n, f, i), R_INV)
-        if i != m - 1:
-            raise AssertionError("unexpected single-letter state %r %d" % (word, i))
-        # i == m-1 with letter T_m: T_m E_{m-1} = T_{m-1}^{-1} E_m T_{m-1} T_m
-        core = fold_T(n, _block_times_E(n, f, m), [m - 1, m])
-        return star_elem(_elem_times_Tinv(n, star_elem(core), m - 1))
-
-    # remaining shape: peel an adjacent right descent through
-    # T_{i±1} E_i = T_i^{-1} E_{i±1} T_i T_{i±1} = T_i^{-1} E_{i±1} E_i.
-    # Both tails are exact; the evaluation order of one may hit a product
-    # still being computed, so fall through to the other on a cycle.
-    last_err = None
+    # remaining shape: every right descent of y is i - 1 or i + 1.
+    # When the values i - 1 and i + 1 form one pair, i - 1 is a descent
+    # (the strand ending at i starts left of that pair), and
+    #   T_y E_i = T_{y s_{i-1}} T_{i-1} E_i = T_{y s_{i-1}} T_i^{-1} E_{i-1} E_i
+    # with the pair now at (i, i+1): T_i^{-1} on it is the factor r, and
+    # E_{i-1} E_i is a double zigzag through it that gives the word back.
+    if i > 1:
+        pos = y.index(i - 1) + 1
+        if pos > m and b == _pair_partner(m, pos):
+            return _attach(u, f, efn_times_perm(n, f, apply_right_s(y, i - 1),
+                                                LaurentPoly.r(1)))
+    # otherwise peel the first right descent j through
+    # T_j E_i = T_i^{-1} E_j E_i = T_i^{-1} E_j T_i T_j
     for j in (i - 1, i + 1):
-        if not (1 <= j <= n - 1) or right_ascent(y, j):
-            continue
-        base = _attach(u, f, efn_times_perm(n, f, apply_right_s(y, j)))
-        for tail in ("T", "E"):
-            try:
-                mid = elem_times_token(n, _elem_times_Tinv(n, base, i),
-                                       ("E", j))
-                if tail == "T":
-                    return fold_T(n, mid, [i, j])
-                return elem_times_token(n, mid, ("E", i))
-            except RuntimeError as err:
-                last_err = err
-    raise last_err or AssertionError("no reduction applies to %r" % (word,))
+        if 1 <= j <= n - 1 and not right_ascent(y, j):
+            base = _attach(u, f, efn_times_perm(n, f, apply_right_s(y, j)))
+            mid = elem_times_token(n, _elem_times_Tinv(n, base, i), ("E", j))
+            return fold_T(n, mid, [i, j])
+    raise RuntimeError("no reduction applies to %r E_%d" % (word, i))
 
 
 def _lift_perm(p, n):

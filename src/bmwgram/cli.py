@@ -156,20 +156,43 @@ def cmd_classify_brauer(args):
     return 0
 
 
+def _rank_point(args, subst):
+    """The concrete point of ``gram --rank`` (None without --rank); every
+    regime option gram would drop is refused."""
+    if not args.rank:
+        if any(getattr(args, name) is not None
+               for name in ("r", "e", "qe", "p", "q0", "r0")):
+            raise ValueError("gram takes no --r, --e or --qe (substitute r "
+                             "by --subst), and --p --q0 --r0 only with --rank")
+        return None
+    spec = _spec_from_args(args)
+    if not spec.is_concrete():
+        raise ValueError("--rank needs a concrete spec")
+    if subst is not None:
+        sign, a = subst
+        want = sign * pow(spec.q0, a, spec.p) % spec.p
+        if spec.r0 != want:
+            raise ValueError("--subst %s needs r0 = %d mod %d at q0 = %d, "
+                             "not %d" % (args.subst, want, spec.p, spec.q0,
+                                         spec.r0))
+    return spec
+
+
 def cmd_gram(args):
     lam = _parse_partition(args.lam)
     cell = CM.CellIndex(args.n, args.f, lam)
-    gram = CM.gram_matrix(cell)
+    subst = None
     if args.subst:
         key, _, val = args.subst.partition("=")
         if key.strip() != "r":
             raise ValueError("only substitutions of r are supported")
         sign, a = _parse_rform(val)
-        gram = gram.substitute_r(sign, a)
-    if args.rank:
-        spec = _spec_from_args(args)
-        if not spec.is_concrete():
-            raise ValueError("--rank needs a concrete spec")
+        subst = (sign, a)
+    spec = _rank_point(args, subst)
+    gram = CM.gram_matrix(cell)
+    if subst is not None:
+        gram = gram.substitute_r(*subst)
+    if spec is not None:
         rank = CM.specialized_rank(gram, spec)
         _emit(args, {"cell": gram.to_json()["cell"], "rank": rank,
                      "dim": gram.dim()},

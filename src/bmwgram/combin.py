@@ -297,26 +297,6 @@ def dangle_from_data(n, f, through_set, pairs):
 # admissible skew configurations
 # ---------------------------------------------------------------------------
 
-def _skew_components(lam, mu):
-    """Connected components (by edge adjacency) of the skew diagram."""
-    boxes = set(cells(lam)) - set(cells(mu))
-    comps = []
-    left = set(boxes)
-    while left:
-        seed = left.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            (i, j) = stack.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in left:
-                    left.remove(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _matchings(nodes):
     """All perfect matchings of the node list."""
     if not nodes:
@@ -330,30 +310,26 @@ def _matchings(nodes):
 
 
 def _pairings(lam, mu):
-    """Each perfect matching of the skew nodes of lam/mu, as one
-    (s, kind, component) per pair: s is the sum of the two nodes' diagonals
-    j - i, kind is "v" (vertical domino), "h" (horizontal domino) or None,
-    and component indexes the connected component of the pair's first
-    node.  With r = sign * q^a, every condition reads only s: the content
-    product is q^{2(a+s)}, a vertical domino is marked iff
-    sign * q^{a+s} = 1 and a horizontal one iff -sign * q^{a+s} = 1."""
-    comp_of = {node: idx
-               for idx, comp in enumerate(_skew_components(lam, mu))
-               for node in comp}
-    nodes = sorted(comp_of)
+    """Each perfect matching of the skew nodes of lam/mu, as one (s, kind)
+    per pair: s is the sum of the two nodes' diagonals j - i, and kind is
+    "v" (vertical domino), "h" (horizontal domino) or None.  With
+    r = sign * q^a, every condition reads only s: the content product is
+    q^{2(a+s)}, a vertical domino is marked iff sign * q^{a+s} = 1 and a
+    horizontal one iff -sign * q^{a+s} = 1."""
+    nodes = sorted(set(cells(lam)) - set(cells(mu)))
     pair = {}
     for k, lo in enumerate(nodes):
         for hi in nodes[k + 1:]:
             kind = ("v" if hi == (lo[0] + 1, lo[1]) else
                     "h" if hi == (lo[0], lo[1] + 1) else None)
-            pair[lo, hi] = (lo[1] - lo[0] + hi[1] - hi[0], kind, comp_of[lo])
+            pair[lo, hi] = (lo[1] - lo[0] + hi[1] - hi[0], kind)
     for matching in _matchings(nodes):
         yield [pair[p] for p in matching]
 
 
 def _even_marks(marked):
-    """Whether each (kind, component) among the marked dominoes occurs an
-    even number of times."""
+    """Whether each kind among the marked dominoes occurs an even number
+    of times."""
     return all(c % 2 == 0 for c in Counter(marked).values())
 
 
@@ -367,6 +343,18 @@ def is_admissible(lam, mu, f, spec):
     dominoes are the columns and rows of the drawn strip configurations;
     this reading is validated against the vanishing loci of symbolic Gram
     determinants and the rank data of the oracle sweep.
+
+    Counting each kind over the whole skew diagram gives the same answer.
+    Take marked dominoes (x1, y1) and (x2, y2) of one kind in two
+    components, x the node of lower diagonal d, so d(y) = d(x) + 1 for
+    both.  Pair x1 with y2 and x2 with y1 instead: both new sums are
+    (s1 + s2) / 2, so each content product is
+    q^{2a + s1 + s2} = (c q^{a+s1}) (c q^{a+s2}) = 1 with c = ±sign the
+    marking unit, and the new pairs join two components, so they are no
+    dominoes.  That takes one marked domino from each component and leaves
+    every other pair alone.  With an even total of one kind, the components
+    holding an odd count of it come in twos, so repeating the move gives a
+    matching with an even count in every component.
     """
     if sum(lam) != sum(mu) + 2 * f:
         raise ValueError("size mismatch: |lam| != |mu| + 2f")
@@ -385,8 +373,8 @@ def is_admissible(lam, mu, f, spec):
         return value
 
     for pairs in _pairings(lam, mu):
-        if all(holds(1, 2 * (a + s)) for s, _kind, _comp in pairs) and \
-                _even_marks([(kind, comp) for s, kind, comp in pairs
+        if all(holds(1, 2 * (a + s)) for s, _kind in pairs) and \
+                _even_marks([kind for s, kind in pairs
                              if kind and holds(sign if kind == "v" else -sign,
                                                a + s)]):
             return True
@@ -405,13 +393,12 @@ def generic_admissible_r(lam, mu, f):
         return set()
     out = set()
     for pairs in _pairings(lam, mu):
-        sums = {s for s, _kind, _comp in pairs}
+        sums = {s for s, _kind in pairs}
         if len(sums) != 1:
             continue
         a = -sums.pop()
         for sign, marked in ((1, "v"), (-1, "h")):
-            if _even_marks([(kind, comp) for _s, kind, comp in pairs
-                            if kind == marked]):
+            if _even_marks([kind for _s, kind in pairs if kind == marked]):
                 out.add((sign, a))
     return out
 

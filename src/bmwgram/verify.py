@@ -296,8 +296,8 @@ SUITES = {
 # samples; central 0.3 s at 4 and 19 s at 5; inflation 1.3 s at 4, and its
 # tower check multiplies every pair of level-f words, so n = 5 would not
 # finish.  relations and oracle-agreement share the package's degree bound
-# (sweep --nmax 6 takes 1.4 s; oracle-agreement at 7 stops after 6 s on the
-# n = 7 rewriting cycle of bmw._we_cached, reported as an error).
+# (sweep --nmax 6 takes 1.4 s; oracle-agreement at 7 completes in about
+# 28-33 s).
 NMAX_BUDGETS = {
     "relations": (2, CM.DEFAULT_MAX_N),
     "oracle-agreement": (2, CM.DEFAULT_MAX_N),

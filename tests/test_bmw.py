@@ -245,3 +245,37 @@ def test_dangle_parent_outside_the_transversal():
     assert strays
     with pytest.raises(RuntimeError, match="not closed"):
         B.dangle_parent(strays[0], f, n)
+
+
+def _random_word(rng, n):
+    f = rng.randrange(n // 2 + 1)
+    w = list(range(1, n - 2 * f + 1))
+    rng.shuffle(w)
+    return (f, rng.choice(dfn(f, n)), tuple(w), rng.choice(dfn(f, n)))
+
+
+def _product(n, word, kind, i):
+    cached = B._wt_cached if kind == "T" else B._we_cached
+    return cached(n, word, i)
+
+
+@pytest.mark.parametrize("n,samples", [(2, None), (3, None), (4, None),
+                                       (5, 100), (6, 100), (7, 200)])
+def test_cold_order_products(n, samples):
+    """Every word x generator product (n <= 4), or a seeded sample of them,
+    computed from empty structure-constant tables, raises nothing and
+    equals the same product computed in another order from warm tables."""
+    if samples is None:
+        keys = [(word, kind, i) for word in B.all_words(n)
+                for kind in "TE" for i in range(1, n)]
+    else:
+        rng = random.Random(2024 + n)
+        keys = [(_random_word(rng, n), rng.choice("TE"), rng.randrange(1, n))
+                for _ in range(samples)]
+    cold = []
+    for key in keys:
+        B._WT.clear()
+        B._WE.clear()
+        cold.append(_product(n, *key))
+    for key, res in zip(reversed(keys), reversed(cold)):
+        assert _product(n, *key) == res, key

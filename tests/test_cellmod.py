@@ -1,6 +1,6 @@
 import pytest
 
-from bmwgram import cellmod as CM
+from bmwgram import bmw, cellmod as CM
 from bmwgram.bmw import DELTA, basis_size
 from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import partitions
@@ -65,6 +65,16 @@ def test_inflation_backend(n):
             cell = CM.CellIndex(n, f, lam)
             assert CM.gram_matrix(cell).entries == \
                 CM.direct_gram(cell).entries
+
+
+def test_inflation_backend_n7_top_cell():
+    """The one f = 3 cell at n = 7 from empty structure-constant tables:
+    its tower form needs level-3 products that no n <= 6 cell reaches."""
+    bmw._WT.clear()
+    bmw._WE.clear()
+    cell = CM.CellIndex(7, 3, (1,))
+    gram, ref = CM.gram_matrix(cell), CM.direct_gram(cell)
+    assert (gram.labels, gram.entries) == (ref.labels, ref.entries)
 
 
 def test_top_cell_vanishing():

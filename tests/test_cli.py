@@ -158,6 +158,9 @@ def test_malformed_r(capsys, argv):
 CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
                          "the sign of q^e; do not also give --e, --r or --qe")
 
+GRAM_TAKES_NO_REGIME = ("error: gram takes no --r, --e or --qe (substitute "
+                        "r by --subst), and --p --q0 --r0 only with --rank")
+
 QE_NEEDS_E = ("error: --qe needs a finite order --e: q^e has no sign when "
               "ord(q^2) is infinite")
 
@@ -175,8 +178,26 @@ QE_NEEDS_E = ("error: --qe needs a finite order --e: q^e has no sign when "
     (["classify", "--n", "3", "--e", "0", "--qe=+1", "--r", "q^-1"],
      QE_NEEDS_E),
     (["classify", "--n", "3", "--qe=-1", "--p", "2"], QE_NEEDS_E),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--r", "q^-1"],
+     GRAM_TAKES_NO_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--det",
+      "--e", "3"], GRAM_TAKES_NO_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--qe=-1"],
+     GRAM_TAKES_NO_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--det",
+      "--p", "7"], GRAM_TAKES_NO_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--subst", "r=-q",
+      "--det", "--p", "7", "--q0", "2", "--r0", "5"], GRAM_TAKES_NO_REGIME),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--subst", "r=q^-1",
+      "--rank", "--p", "7", "--q0", "2", "--r0", "3"],
+     "error: --subst r=q^-1 needs r0 = 4 mod 7 at q0 = 2, not 3"),
+    (["gram", "--n", "3", "--f", "1", "--lambda", "(1)", "--subst", "r=-q^2",
+      "--rank", "--p", "7", "--q0", "2", "--r0", "4"],
+     "error: --subst r=-q^2 needs r0 = 3 mod 7 at q0 = 2, not 4"),
 ], ids=["classify-e-r-qe", "classify-qe", "gram-rank-e", "qe-plus-even-e",
-        "qe-infinite-e", "qe-no-e"])
+        "qe-infinite-e", "qe-no-e", "gram-r", "gram-det-e", "gram-qe",
+        "gram-det-p", "gram-point-no-rank", "gram-subst-r0",
+        "gram-subst-sign-r0"])
 def test_contradictory_regime_refused(capsys, argv, error):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -330,8 +351,6 @@ def test_relations_suite_under_optimize(mode):
         assert "relations n=3: FAIL E definition 1" in lines
 
 
-@pytest.mark.xfail(strict=True, reason="bmw._we_cached raises a spurious "
-                   "'rewriting cycle' on a cold level-3 word at n = 7")
 def test_gram_n7_top_cell_cold():
     """A cold n = 7 Gram matrix, inside the oracle's degree bound."""
     assert DEFAULT_MAX_N >= 7

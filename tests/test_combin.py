@@ -5,13 +5,13 @@ import pytest
 
 from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import (_even_marks, _matchings, _pairings,
-                            _skew_components, apply_right_s,
-                            cells, conjugate, contains, d_of, dangle_data,
-                            dfn, dfn_size, dominates, forbidden_r_values,
-                            hook_lengths, is_admissible, is_e_restricted,
-                            content, nu_ep, num_std_tableaux, partitions,
-                            perm_from_word, perm_id, perm_inv, perm_len,
-                            perm_mul, perm_word, std_tableaux, superstandard)
+                            apply_right_s, cells, conjugate, contains, d_of,
+                            dangle_data, dfn, dfn_size, dominates,
+                            forbidden_r_values, hook_lengths, is_admissible,
+                            is_e_restricted, content, nu_ep, num_std_tableaux,
+                            partitions, perm_from_word, perm_id, perm_inv,
+                            perm_len, perm_mul, perm_word, std_tableaux,
+                            superstandard)
 from bmwgram.oracle import sweep_specs
 
 
@@ -143,22 +143,36 @@ def test_admissible_examples():
 
 
 def test_pairings_read_diagonal_sums():
-    assert list(_pairings((2,), ())) == [[(1, "h", 0)]]
-    assert list(_pairings((1, 1), ())) == [[(-1, "v", 0)]]
+    assert list(_pairings((2,), ())) == [[(1, "h")]]
+    assert list(_pairings((1, 1), ())) == [[(-1, "v")]]
     # (3,3,1,1)/(2,2) is two vertical dominoes, one per component
     pairings = list(_pairings((3, 3, 1, 1), (2, 2)))
-    assert sorted(sorted((s, kind) for s, kind, _comp in pairs)
-                  for pairs in pairings) == [[(-5, "v"), (3, "v")],
-                                             [(-2, None), (0, None)],
-                                             [(-1, None), (-1, None)]]
-    dominoes = [pairs for pairs in pairings if all(k for _s, k, _c in pairs)]
-    (_s1, _k1, c1), (_s2, _k2, c2) = dominoes[0]
-    assert c1 != c2
-    # parity is per component and per kind
-    assert not _even_marks([("v", c1), ("v", c2)])
-    assert not _even_marks([("v", 0), ("h", 0)])
-    assert _even_marks([("v", 0), ("h", 1), ("h", 1), ("v", 0)])
+    assert sorted(sorted(pairs) for pairs in pairings) == [
+        [(-5, "v"), (3, "v")], [(-2, None), (0, None)],
+        [(-1, None), (-1, None)]]
+    # parity is per kind, over the whole skew diagram
+    assert _even_marks(["v", "v"])
+    assert not _even_marks(["v", "h"])
+    assert _even_marks(["v", "h", "h", "v"])
     assert _even_marks([])
+
+
+def _skew_components(lam, mu):
+    """Connected components (by edge adjacency) of the skew diagram."""
+    left = set(cells(lam)) - set(cells(mu))
+    comps = []
+    while left:
+        stack = [left.pop()]
+        comp = set(stack)
+        while stack:
+            (i, j) = stack.pop()
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in left:
+                    left.remove(nb)
+                    comp.add(nb)
+                    stack.append(nb)
+        comps.append(sorted(comp))
+    return comps
 
 
 def gf_admissible(lam, mu, f, p, q0, r0):

@@ -7,9 +7,14 @@ was computed by one walk of the dangle tree."""
 import contextlib
 import hashlib
 import io
+import json
+import sys
+import threading
 
 import pytest
 
+from bmwgram import bmw as B
+from bmwgram.cellmod import CellIndex, gram_matrix
 from bmwgram.cli import main
 
 GRAM_JSON_SHA256 = {
@@ -89,3 +94,38 @@ def test_gram_json_matches_fixture(n):
 @pytest.mark.parametrize("cell", sorted(GRAM_N7_F2_JSON_SHA256), ids=str)
 def test_gram_json_n7_f2_matches_fixture(cell):
     assert _gram_json_sha256(*cell) == GRAM_N7_F2_JSON_SHA256[cell]
+
+
+def test_concurrent_cold_builds_match_fixture():
+    """Three threads build every cell with n <= 5 from empty structure-
+    constant tables, each in its own order, and get the fixture bytes."""
+    cells = sorted(key for key in GRAM_JSON_SHA256 if key[0] <= 5)
+    got, errors = [], []
+
+    def build(order):
+        try:
+            for cell in order:
+                gram = gram_matrix(CellIndex(*cell))
+                text = json.dumps(gram.to_json(), indent=2, sort_keys=True)
+                got.append((cell, hashlib.sha256(
+                    (text + "\n").encode()).hexdigest()))
+        except Exception as err:   # any error fails the test below
+            errors.append(repr(err))
+
+    B._WT.clear()
+    B._WE.clear()
+    threads = [threading.Thread(target=build, args=(order,))
+               for order in (cells, cells[::-1], cells[1::2] + cells[::2])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(got) == 3 * len(cells)
+    assert all(digest == GRAM_JSON_SHA256[cell] for cell, digest in got)

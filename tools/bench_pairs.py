@@ -1,7 +1,12 @@
 """Paired before/after runs of the benchmark (stdlib only).
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
         --workload oracle-n6-cold --workload gram-det --pairs 10 --tag pr8
+
+Both sides must be plain copies of their trees (``git archive <commit> |
+tar -x -C DIR``), never a git working tree: the same sources read about
+0.26 MB higher ``peak_rss_mb`` when run from a working tree than from a
+copy (cause not found), which would read as a change in memory.
 
 For every workload, runs ``bench/run.py`` of the parent checkout and of the
 change checkout in alternating pairs: pair k runs the parent first when k is
