@@ -21,7 +21,7 @@ from .bmw import fold_T, mul_elems, star_elem
 from .coeff import EvalPlan, LaurentPoly
 from .combin import (d_of, dfn, partitions, perm_id, perm_word,
                      std_tableaux)
-from .exactla import bareiss_det, gf_rank
+from .exactla import bareiss_det, plan_rank
 from .hecke import HeckeElem, cell_coefficient, cell_form, young_subgroup
 from . import bmw as _bmw
 
@@ -219,8 +219,7 @@ def gram_rank(cell, spec):
 
 
 def specialized_rank(gram, spec):
-    p = spec.p
-    return gf_rank(gram.plan().evaluate(p, spec.q0, spec.r0), p)
+    return plan_rank(gram.plan(), spec.p, spec.q0, spec.r0)
 
 
 def central_element(n):

@@ -186,8 +186,10 @@ def cmd_gram(args):
         key, _, val = args.subst.partition("=")
         if key.strip() != "r":
             raise ValueError("only substitutions of r are supported")
-        sign, a = _parse_rform(val)
-        subst = (sign, a)
+        subst = _parse_rform(val)
+        if subst == "generic":
+            raise ValueError("--subst takes r=±q^a; for generic r leave "
+                             "--subst out")
     spec = _rank_point(args, subst)
     gram = CM.gram_matrix(cell)
     if subst is not None:

@@ -311,63 +311,119 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-def _power_table(x, lo, size, p):
-    """[x^lo, x^(lo+1), ..., x^(lo+size-1)] over GF(p)."""
-    out = [pow(x, lo, p)]
+def _power_table(x, size, p):
+    """[1, x, ..., x^(size-1)] over GF(p)."""
+    out = [1]
     for _ in range(size - 1):
         out.append(out[-1] * x % p)
     return out
 
 
 class EvalPlan:
-    """A matrix of LaurentPoly entries compiled for repeated evaluation at
-    q = q0, r = r0 over GF(p).
+    """A matrix of LaurentPoly entries compiled for ranks over GF(p) at
+    q = q0, r = r0 (``exactla.plan_rank``).
 
-    ``index`` points every position at one of the distinct entries; each
-    distinct entry keeps its integer coefficients, the positions of its
-    monomials q^a r^b in a table over the matrix's exponent box, and its
-    power of w.  An evaluation builds that table once, evaluates each
-    distinct entry once and fills the matrix by index, with the same
-    residues as ``LaurentPoly.specialize`` entry by entry.
+    ``index`` points every position, row by row, at one of the distinct
+    entries.  ``parts`` holds, for every distinct entry and every b with a
+    monomial q^a r^(rlo+b) in it, the entry's power of w, the coefficients
+    and the exponents a - qlo; ``where`` lists the numbers, counted from
+    1, of the rlen parts of each distinct entry in turn, 0 for a zero part.
     """
 
-    __slots__ = ("index", "distinct", "qlo", "qlen", "rlo", "rlen", "wmax")
+    __slots__ = ("index", "nrows", "ncols", "parts", "where", "qlo",
+                 "qlen", "rlo", "rlen", "wmax", "folded")
 
     def __init__(self, rows):
         slots = {}
-        self.index = [[slots.setdefault(e, len(slots)) for e in row]
-                      for row in rows]
+        self.index = [slots.setdefault(e, len(slots))
+                      for row in rows for e in row]
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
         keys = [k for e in slots for k in e.terms] or [(0, 0)]
         self.qlo = min(a for a, _ in keys)
         self.qlen = max(a for a, _ in keys) - self.qlo + 1
         self.rlo = min(b for _, b in keys)
         self.rlen = max(b for _, b in keys) - self.rlo + 1
         self.wmax = max((e.wexp for e in slots), default=0)
-        self.distinct = [
-            (tuple(e.terms.values()),
-             tuple((a - self.qlo) * self.rlen + b - self.rlo
-                   for a, b in e.terms),
-             e.wexp)
-            for e in slots]
+        self.parts = []
+        self.where = []
+        for e in slots:
+            by_r = {}
+            for (a, b), c in e.terms.items():
+                cs, qs = by_r.setdefault(b - self.rlo, ([], []))
+                cs.append(c)
+                qs.append(a - self.qlo)
+            where = [0] * self.rlen
+            for b, (cs, qs) in by_r.items():
+                self.parts.append((e.wexp, cs, qs))
+                where[b] = len(self.parts)
+            self.where += where
+        self.folded = None
 
-    def evaluate(self, p, q0, r0):
-        """The matrix at q = q0, r = r0 over GF(p), as rows of residues."""
-        q0 %= p
-        r0 %= p
-        if q0 == 0 or r0 == 0:
-            raise ValueError("q0 and r0 must be invertible")
-        w0 = (q0 - pow(q0, -1, p)) % p
+    def fold(self, p, q0):
+        """The matrix at q = q0 over GF(p) as a polynomial in r, a
+        ``Folded``; only the last (p, q0) is kept, in the slot ``folded``.
+
+        Its blocks[b] packs the matrix of the coefficients of r^(rlo+b),
+        times the unit q0^-qlo, as residues mod p: one field of ``width``
+        bits per position, row by row, the first position lowest.  The
+        matrix at r0 sums rlen blocks, so its fields start below
+        rlen (p-1)^2, and forward elimination adds at most (p-1)^2 for each
+        of at most nrows pivots: ``width`` is
+        ((rlen + nrows)(p-1)^2).bit_length() rounded up to whole bytes, so
+        that one bytes join packs every block.
+        """
+        folded = self.folded
+        if folded is not None and folded.point == (p, q0):
+            return folded
+        w0 = (q0 - pow(q0, -1, p)) % p if q0 % p else 0
         if w0 == 0:
-            raise ValueError("w = q - q^-1 must be invertible (q0^2 != 1)")
-        rpow = _power_table(r0, self.rlo, self.rlen, p)
-        table = [qa * rb % p
-                 for qa in _power_table(q0, self.qlo, self.qlen, p)
-                 for rb in rpow]
-        wpow = _power_table(pow(w0, -1, p), 0, self.wmax + 1, p)
-        at = table.__getitem__
-        vals = [sum(map(mul, cs, map(at, ix))) * wpow[k] % p
-                for cs, ix, k in self.distinct]
-        return [list(map(vals.__getitem__, row)) for row in self.index]
+            raise ValueError("q0 and w = q - q^-1 must be invertible")
+        at = _power_table(q0, self.qlen, p).__getitem__
+        wpow = _power_table(pow(w0, -1, p), self.wmax + 1, p)
+        size = (((self.rlen + self.nrows) * (p - 1) ** 2).bit_length()
+                + 7) // 8
+        pieces = [bytes(size)]
+        pieces += [(sum(map(mul, cs, map(at, qs))) * wpow[k]
+                    % p).to_bytes(size, "little") for k, cs, qs in self.parts]
+        span = self.rlen * size
+        coded = b"".join(map(pieces.__getitem__, self.where))
+        coded = [coded[i:i + span] for i in range(0, len(coded), span)]
+        data = b"".join(map(coded.__getitem__, self.index))
+        blocks = []
+        for b in range(self.rlen):
+            block = bytearray(len(data) // self.rlen)
+            for t in range(size):
+                block[t::size] = data[b * size + t::span]
+            blocks.append(int.from_bytes(block, "little"))
+        self.folded = Folded((p, q0), size, self.nrows, self.ncols, blocks)
+        return self.folded
+
+
+class Folded:
+    """An ``EvalPlan``'s matrix at one (p, q0), packed by ``EvalPlan.fold``.
+    A new (p, q0) makes a new one, so a caller holding this one never sees
+    it change, except that ``exactla.plan_rank`` may store in ``rank`` a
+    rank that does not depend on r0."""
+
+    __slots__ = ("point", "width", "step", "nbytes", "blocks", "rank")
+
+    def __init__(self, point, size, nrows, ncols, blocks):
+        self.point = point
+        self.width = 8 * size
+        self.step = ncols * size
+        self.nbytes = nrows * self.step
+        self.blocks = blocks
+        self.rank = None
+
+    def rows_at(self, r0):
+        """The matrix at r = r0, times the unit r0^-rlo, as one packed
+        integer per row."""
+        rpow = _power_table(r0, len(self.blocks), self.point[0])
+        data = sum(map(mul, rpow, self.blocks)).to_bytes(self.nbytes, "little")
+        step = self.step
+        return [int.from_bytes(data[i:i + step], "little")
+                for i in range(0, self.nbytes, step or 1)]
 
 
 def render_terms(terms):

@@ -187,28 +187,55 @@ def _kernel_certifies_zero(m, rows, cols):
 
 
 def gf_rank(rows, p):
-    """Rank over GF(p) of an integer matrix (list of row lists).
-
-    Forward elimination: each pivot clears its column only in the rows not
-    yet used as pivots, is never normalized, and updates only the columns
-    to its right.  A row is packed into one integer with a field of
-    ``width`` bits per remaining column, the leftmost column lowest, so one
-    multiply-add updates a whole row and a shift drops the finished column.
-    Only pivot rows are reduced mod p; every other field grows by at most
-    (p-1)^2 per pivot, and ``width`` has room for min(rows, columns)
-    pivots, so no field carries into the next.
+    """Rank over GF(p) of an integer matrix (list of row lists): each row
+    is packed into one integer, a field of ``width`` bits per column, the
+    leftmost column lowest, and ``_packed_rank`` eliminates.  Fields start
+    as residues, and ``width`` has room for min(rows, columns) pivots.
     """
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
     width = (p - 1 + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
-    mask = (1 << width) - 1
     rest = []
     for row in rows:
         packed = 0
         for x in reversed(row):
             packed = packed << width | x % p
         rest.append(packed)
+    return _packed_rank(rest, ncols, width, p)
+
+
+def plan_rank(plan, p, q0, r0):
+    """Rank over GF(p) of a ``coeff.EvalPlan``'s matrix at q = q0, r = r0.
+
+    ``plan.fold`` packs the matrix at q0 as a polynomial in r once per
+    (p, q0), and ``rows_at`` takes rlen multiply-adds of packed integers to
+    reach r0.  With rlen == 1 the matrix is r0^rlo times one fixed matrix,
+    whose rank the folded matrix keeps for every r0.
+    """
+    if not r0 % p:
+        raise ValueError("q0 and r0 must be invertible")
+    folded = plan.fold(p, q0)
+    if folded.rank is not None:
+        return folded.rank
+    rank = _packed_rank(folded.rows_at(r0), plan.ncols, folded.width, p)
+    if plan.rlen == 1:
+        folded.rank = rank
+    return rank
+
+
+def _packed_rank(rest, ncols, width, p):
+    """Rank over GF(p) of rows packed ``width`` bits per column, the
+    leftmost column lowest, with nonnegative fields.
+
+    Forward elimination: each pivot clears its column only in the rows not
+    yet used as pivots, is never normalized, and updates only the columns
+    to its right, so one multiply-add updates a whole row and a shift drops
+    the finished column.  Only pivot rows are reduced mod p; every other
+    field grows by at most (p-1)^2 per pivot, and the caller's ``width``
+    leaves room for that, so no field carries into the next.
+    """
+    mask = (1 << width) - 1
     rank = 0
     for _ in range(ncols):
         for i, row in enumerate(rest):

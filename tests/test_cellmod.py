@@ -1,9 +1,15 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from bmwgram import bmw, cellmod as CM
 from bmwgram.bmw import DELTA, basis_size
 from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import partitions
+from bmwgram.exactla import PIVOT_PRIME, gf_rank, plan_rank
+from bmwgram.oracle import sweep_specs
 
 L = LaurentPoly
 
@@ -159,11 +165,24 @@ def test_central_element_scalar(n):
                     assert twisted.entries[a][b] == sigma * gram.entries[a][b]
 
 
+def evaluate(plan, p, q0, r0):
+    """The plan's matrix at q = q0, r = r0 over GF(p), entry by entry from
+    its parts: the reference for ``plan_rank``."""
+    w_inv = pow(q0 - pow(q0, -1, p), -1, p)
+    parts = [sum(c * pow(q0, plan.qlo + a, p) for c, a in zip(cs, qs))
+             * pow(w_inv, k, p) for k, cs, qs in plan.parts]
+    where = plan.where
+    vals = [sum(parts[t - 1] * pow(r0, plan.rlo + b, p)
+                for b, t in enumerate(where[j:j + plan.rlen]) if t) % p
+            for j in range(0, len(where), plan.rlen)]
+    return [[vals[j] for j in plan.index[i * plan.ncols:(i + 1) * plan.ncols]]
+            for i in range(plan.nrows)]
+
+
 def test_compiled_evaluation_matches_specialize():
     """Every Gram at n <= 4 (the Specht Grams are its f = 0 cells),
     evaluated through its compiled plan, equals LaurentPoly.specialize
     entry by entry at every sweep spec."""
-    from bmwgram.oracle import sweep_specs
     cases = []
     for n in range(1, 5):
         for cell in CM.cell_dims(n):
@@ -178,5 +197,101 @@ def test_compiled_evaluation_matches_specialize():
     for spec in sweep_specs((2, 3, 5, 7, 11)):
         p, q0, r0 = spec.p, spec.q0, spec.r0
         for rows, plan in cases:
-            assert plan.evaluate(p, q0, r0) == \
+            assert evaluate(plan, p, q0, r0) == \
                 [[e.specialize(p, q0, r0) for e in row] for row in rows]
+
+
+def _n5_grams():
+    return [CM.gram_matrix(cell)
+            for n in range(1, 6) for cell in CM.cell_dims(n)]
+
+
+def test_specialized_rank_matches_reference_in_any_order():
+    """The folded rank equals gf_rank of the entrywise evaluation for every
+    cell with n <= 5 at every sweep regime with p <= 13, visited once in
+    sweep order (every cell at each regime in turn) and once shuffled
+    across cells and regimes, so that a folded (p, q0) and a kept r-free
+    rank are replaced whenever the point moves."""
+    grams = _n5_grams()
+    specs = sweep_specs((2, 3, 5, 7, 11, 13))
+    pairs = [(g, spec) for g in grams for spec in specs]
+    want = {(id(g), spec): gf_rank(evaluate(g.plan(), spec.p, spec.q0,
+                                            spec.r0), spec.p)
+            for g, spec in pairs}
+    assert len(set(want.values())) > 10
+    assert all(CM.specialized_rank(g, spec) == want[id(g), spec]
+               for spec in specs for g in grams)
+    random.Random(5).shuffle(pairs)
+    assert all(CM.specialized_rank(g, spec) == want[id(g), spec]
+               for g, spec in pairs)
+
+
+def test_rank_at_wide_fields():
+    """At primes near 2^61 the fields of a packed row span several bytes;
+    plan_rank called on the plan directly still equals the reference, at
+    a random point and at r0 = q0^-1, -q0 and -q0^-2, where some ranks
+    drop."""
+    rng = random.Random(61)
+    cells = [(3, 1, (1,)), (4, 2, ()), (4, 1, (2,)), (4, 1, (1, 1)),
+             (5, 1, (2, 1)), (5, 2, (1,)), (5, 0, (3, 1, 1))]
+    for p in ((1 << 61) - 1, PIVOT_PRIME):
+        drops = 0
+        for cell in cells:
+            plan = CM.gram_matrix(CM.CellIndex(*cell)).plan()
+            q0 = rng.randrange(2, p - 1)
+            points = [rng.randrange(1, p), pow(q0, -1, p), p - q0,
+                      p - pow(q0, -2, p)]
+            ranks = [plan_rank(plan, p, q0, r0) for r0 in points]
+            assert plan.folded.width > 64
+            assert ranks == [gf_rank(evaluate(plan, p, q0, r0), p)
+                             for r0 in points]
+            drops += sum(rank < plan.nrows for rank in ranks)
+        assert drops >= 4
+
+
+def test_r_free_rank_is_kept_only_without_r():
+    """Head (f = 0) plans have no r and keep one rank per (p, q0); some
+    f >= 1 cell changes rank between two r0 at one (p, q0), so its rank is
+    never kept."""
+    head = CM.gram_matrix(CM.CellIndex(4, 0, (2, 1, 1)))
+    assert head.plan().rlen == 1
+    CM.specialized_rank(head, ParamSpec.concrete(13, 2, 5))
+    assert head.plan().folded.rank is not None
+    g = CM.gram_matrix(CM.CellIndex(3, 1, (1,)))
+    assert g.plan().rlen > 1
+    ranks = [CM.specialized_rank(g, ParamSpec.concrete(5, 2, r0))
+             for r0 in (1, 3, 1, 3)]
+    assert ranks[0] != ranks[1] and ranks == ranks[:2] * 2
+    assert g.plan().folded.rank is None
+
+
+def test_concurrent_ranks_share_plans():
+    """Threads asking one set of Gram matrices for ranks at different
+    points get the reference ranks: a thread keeps the folded matrix it
+    was handed even when another thread folds a new (p, q0) meanwhile."""
+    grams = _n5_grams()
+    specs = sweep_specs((5, 7, 11))
+    want = {(id(g), spec): gf_rank(evaluate(g.plan(), spec.p, spec.q0,
+                                            spec.r0), spec.p)
+            for g in grams for spec in specs}
+    wrong = []
+
+    def work(seed):
+        pairs = [(g, spec) for g in grams for spec in specs]
+        random.Random(seed).shuffle(pairs)
+        wrong.extend((g.cell, spec) for g, spec in pairs
+                     if CM.specialized_rank(g, spec) != want[id(g), spec])
+
+    threads = [threading.Thread(target=work, args=(seed,))
+               for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong

@@ -155,6 +155,17 @@ def test_malformed_r(capsys, argv):
     assert captured.err == "error: r must be generic or ±q^a\n"
 
 
+@pytest.mark.parametrize("extra", [["--det"], []], ids=["det", "entries"])
+def test_subst_generic_refused(capsys, extra):
+    rc = main(["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
+               "--subst", "r=generic"] + extra)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: --subst takes r=±q^a; for generic r "
+                            "leave --subst out\n")
+
+
 CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
                          "the sign of q^e; do not also give --e, --r or --qe")
 
