@@ -18,10 +18,10 @@ the product inside the algebra, is kept as the reference for the tests.
 from __future__ import annotations
 
 from .bmw import fold_T, mul_elems, star_elem
-from .coeff import EvalPlan, LaurentPoly
+from .coeff import LaurentPoly
 from .combin import (d_of, dfn, partitions, perm_id, perm_word,
                      std_tableaux)
-from .exactla import bareiss_det, plan_rank
+from .exactla import EvalPlan, bareiss_det, plan_rank
 from .hecke import HeckeElem, cell_coefficient, cell_form, young_subgroup
 from . import bmw as _bmw
 
@@ -73,8 +73,8 @@ class GramMatrix:
         return len(self.labels)
 
     def plan(self):
-        """The entries compiled for evaluation over GF(p), built on first
-        use and kept with the matrix."""
+        """The entries compiled for ranks over GF(p), an
+        ``exactla.EvalPlan`` built on first use and kept with the matrix."""
         if self._plan is None:
             self._plan = EvalPlan(self.entries)
         return self._plan

@@ -7,14 +7,15 @@ coefficients, minimal w-denominator), so equality is structural equality.
 
 Concrete computations happen in prime fields GF(p); `ParamSpec` is a
 parameter regime (order of q^2, characteristic, the shape of r), which a
-concrete point (p, q0, r0) fixes and carries along.
+concrete point (p, q0, r0) fixes and carries along.  This module also
+holds the parser and the primality test; matrices over GF(p) live in
+`exactla`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import mul
 
 
 def _strip(terms):
@@ -311,121 +312,6 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
-def _power_table(x, size, p):
-    """[1, x, ..., x^(size-1)] over GF(p)."""
-    out = [1]
-    for _ in range(size - 1):
-        out.append(out[-1] * x % p)
-    return out
-
-
-class EvalPlan:
-    """A matrix of LaurentPoly entries compiled for ranks over GF(p) at
-    q = q0, r = r0 (``exactla.plan_rank``).
-
-    ``index`` points every position, row by row, at one of the distinct
-    entries.  ``parts`` holds, for every distinct entry and every b with a
-    monomial q^a r^(rlo+b) in it, the entry's power of w, the coefficients
-    and the exponents a - qlo; ``where`` lists the numbers, counted from
-    1, of the rlen parts of each distinct entry in turn, 0 for a zero part.
-    """
-
-    __slots__ = ("index", "nrows", "ncols", "parts", "where", "qlo",
-                 "qlen", "rlo", "rlen", "wmax", "folded")
-
-    def __init__(self, rows):
-        slots = {}
-        self.index = [slots.setdefault(e, len(slots))
-                      for row in rows for e in row]
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        keys = [k for e in slots for k in e.terms] or [(0, 0)]
-        self.qlo = min(a for a, _ in keys)
-        self.qlen = max(a for a, _ in keys) - self.qlo + 1
-        self.rlo = min(b for _, b in keys)
-        self.rlen = max(b for _, b in keys) - self.rlo + 1
-        self.wmax = max((e.wexp for e in slots), default=0)
-        self.parts = []
-        self.where = []
-        for e in slots:
-            by_r = {}
-            for (a, b), c in e.terms.items():
-                cs, qs = by_r.setdefault(b - self.rlo, ([], []))
-                cs.append(c)
-                qs.append(a - self.qlo)
-            where = [0] * self.rlen
-            for b, (cs, qs) in by_r.items():
-                self.parts.append((e.wexp, cs, qs))
-                where[b] = len(self.parts)
-            self.where += where
-        self.folded = None
-
-    def fold(self, p, q0):
-        """The matrix at q = q0 over GF(p) as a polynomial in r, a
-        ``Folded``; only the last (p, q0) is kept, in the slot ``folded``.
-
-        Its blocks[b] packs the matrix of the coefficients of r^(rlo+b),
-        times the unit q0^-qlo, as residues mod p: one field of ``width``
-        bits per position, row by row, the first position lowest.  The
-        matrix at r0 sums rlen blocks, so its fields start below
-        rlen (p-1)^2, and forward elimination adds at most (p-1)^2 for each
-        of at most nrows pivots: ``width`` is
-        ((rlen + nrows)(p-1)^2).bit_length() rounded up to whole bytes, so
-        that one bytes join packs every block.
-        """
-        folded = self.folded
-        if folded is not None and folded.point == (p, q0):
-            return folded
-        w0 = (q0 - pow(q0, -1, p)) % p if q0 % p else 0
-        if w0 == 0:
-            raise ValueError("q0 and w = q - q^-1 must be invertible")
-        at = _power_table(q0, self.qlen, p).__getitem__
-        wpow = _power_table(pow(w0, -1, p), self.wmax + 1, p)
-        size = (((self.rlen + self.nrows) * (p - 1) ** 2).bit_length()
-                + 7) // 8
-        pieces = [bytes(size)]
-        pieces += [(sum(map(mul, cs, map(at, qs))) * wpow[k]
-                    % p).to_bytes(size, "little") for k, cs, qs in self.parts]
-        span = self.rlen * size
-        coded = b"".join(map(pieces.__getitem__, self.where))
-        coded = [coded[i:i + span] for i in range(0, len(coded), span)]
-        data = b"".join(map(coded.__getitem__, self.index))
-        blocks = []
-        for b in range(self.rlen):
-            block = bytearray(len(data) // self.rlen)
-            for t in range(size):
-                block[t::size] = data[b * size + t::span]
-            blocks.append(int.from_bytes(block, "little"))
-        self.folded = Folded((p, q0), size, self.nrows, self.ncols, blocks)
-        return self.folded
-
-
-class Folded:
-    """An ``EvalPlan``'s matrix at one (p, q0), packed by ``EvalPlan.fold``.
-    A new (p, q0) makes a new one, so a caller holding this one never sees
-    it change, except that ``exactla.plan_rank`` may store in ``rank`` a
-    rank that does not depend on r0."""
-
-    __slots__ = ("point", "width", "step", "nbytes", "blocks", "rank")
-
-    def __init__(self, point, size, nrows, ncols, blocks):
-        self.point = point
-        self.width = 8 * size
-        self.step = ncols * size
-        self.nbytes = nrows * self.step
-        self.blocks = blocks
-        self.rank = None
-
-    def rows_at(self, r0):
-        """The matrix at r = r0, times the unit r0^-rlo, as one packed
-        integer per row."""
-        rpow = _power_table(r0, len(self.blocks), self.point[0])
-        data = sum(map(mul, rpow, self.blocks)).to_bytes(self.nbytes, "little")
-        step = self.step
-        return [int.from_bytes(data[i:i + step], "little")
-                for i in range(0, self.nbytes, step or 1)]
-
-
 def render_terms(terms):
     parts = []
     for (a, b) in sorted(terms, reverse=True):
@@ -563,14 +449,42 @@ def parse_poly(s):
 # prime fields
 # ---------------------------------------------------------------------------
 
+# The Miller-Rabin bases of is_prime, the first 12 primes.  Together they
+# pass no odd composite below PRIME_LIMIT, the least one they all pass
+# (Jiang and Deng, Math. Comp. 83, 2014); is_prime refuses larger p.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+# Largest p of ParamSpec.concrete, which walks the powers of q0 up to
+# ord(q0^2) twice: a spec at a primitive root q0 and r0 = q0^(e-1) takes
+# 0.15 s at p = 1,000,003, 0.63 s at 4,194,301 (the largest prime below
+# 2^22) and 1.9 s at 16,777,213 (2-vCPU VM, CPython 3.11).
+CONCRETE_MAX_P = 1 << 22
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin over MR_BASES, exact for p < PRIME_LIMIT;
+    a larger p is refused."""
+    if p >= PRIME_LIMIT:
+        raise ValueError("p = %d outside the budget p < %d of the primality "
+                         "test" % (p, PRIME_LIMIT))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in MR_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -650,6 +564,9 @@ class ParamSpec:
 
     @classmethod
     def concrete(cls, p, q0, r0):
+        if p > CONCRETE_MAX_P:
+            raise ValueError("p = %d outside the budget p <= %d of a concrete "
+                             "regime" % (p, CONCRETE_MAX_P))
         if not is_prime(p):
             raise ValueError("p must be prime")
         q0 %= p

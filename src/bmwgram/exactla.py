@@ -1,9 +1,16 @@
 """Exact linear algebra kernels: fraction-free determinants, certified zero
-determinants and prime-field ranks.  No floating point anywhere."""
+determinants and prime-field ranks.  No floating point anywhere.
+
+Every elimination over GF(p) here is ``_packed_rank``, on rows packed into
+one integer each, ``_field_size`` bytes per column and the first column
+lowest: integer matrices by their residues (``gf_rank``, ``_int_det``'s
+pivot pass) and Gram matrices through an ``EvalPlan`` folded at (p, q0)
+(``plan_rank``).  ``gf_det`` is the tests' determinant reference."""
 
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from .coeff import LaurentPoly
 
@@ -86,8 +93,9 @@ PIVOT_PRIME = (1 << 62) - 57
 def _int_det(m):
     """Determinant of a square integer matrix m; m is overwritten.
 
-    A forward elimination over GF(PIVOT_PRIME) first picks pivot rows R and
-    columns C, so m[R, C] is nonsingular modulo the prime and hence over Z.
+    A forward elimination over GF(PIVOT_PRIME) (``_residue_pivots``) first
+    picks pivot rows R and columns C, so m[R, C] is nonsingular modulo the
+    prime and hence over Z.
     When the rank modulo the prime falls short, one column outside C gives
     a candidate kernel vector v (``_kernel_certifies_zero``); if m v = 0
     holds exactly, the determinant is 0.  Otherwise, and whenever the rank
@@ -95,7 +103,7 @@ def _int_det(m):
     fast the answer comes, never what it is: 0 is returned only for a
     verified nonzero kernel vector."""
     n = len(m)
-    rows, cols = _gf_pivots(m, PIVOT_PRIME)
+    rows, cols = _residue_pivots(m, PIVOT_PRIME)
     if len(rows) < n and _kernel_certifies_zero(m, rows, cols):
         return 0
     return _bareiss(m, n)
@@ -132,33 +140,6 @@ def _bareiss(m, ncols):
     return sign * prev
 
 
-def _gf_pivots(m, p):
-    """Pivot rows and columns, in pivot order, of a forward elimination of
-    the integer matrix m over GF(p).  The submatrix on them is nonsingular
-    modulo p, and their number is the rank modulo p."""
-    rest = [(i, [x % p for x in row]) for i, row in enumerate(m)]
-    rows, cols = [], []
-    for col in range(len(m[0])):
-        for k, (_i, row) in enumerate(rest):
-            if row[0]:
-                break
-        else:
-            rest = [(i, row[1:]) for i, row in rest]
-            continue
-        i, top = rest.pop(k)
-        rows.append(i)
-        cols.append(col)
-        inv = pow(top[0], -1, p)
-        top = top[1:]
-        reduced = []
-        for i, row in rest:
-            c = row[0] * inv % p
-            reduced.append((i, [(a - c * b) % p for a, b in zip(row[1:], top)]
-                            if c else row[1:]))
-        rest = reduced
-    return rows, cols
-
-
 def _kernel_certifies_zero(m, rows, cols):
     """Whether a nonzero v with m v = 0 over Z comes out of the first column
     c outside ``cols``, given that m[rows, cols] is nonsingular.
@@ -186,27 +167,146 @@ def _kernel_certifies_zero(m, rows, cols):
                    for row in m)
 
 
+def _field_size(terms, pivots, p):
+    """Bytes per field of packed rows over GF(p) whose fields start at
+    most terms (p-1)^2 and meet at most ``pivots`` pivots, each adding at
+    most (p-1)^2 to a field (``_packed_rank``)."""
+    return (((terms + pivots) * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def _residue_pivots(rows, p):
+    """``_packed_rank``'s pivot rows and columns of an integer matrix (list
+    of row lists, at least one column) over GF(p), each row packed as its
+    residues."""
+    ncols = len(rows[0])
+    size = _field_size(1, min(len(rows), ncols), p)
+    packed = [int.from_bytes(b"".join((x % p).to_bytes(size, "little")
+                                      for x in row), "little")
+              for row in rows]
+    return _packed_rank(packed, ncols, 8 * size, p)
+
+
 def gf_rank(rows, p):
-    """Rank over GF(p) of an integer matrix (list of row lists): each row
-    is packed into one integer, a field of ``width`` bits per column, the
-    leftmost column lowest, and ``_packed_rank`` eliminates.  Fields start
-    as residues, and ``width`` has room for min(rows, columns) pivots.
-    """
+    """Rank over GF(p) of an integer matrix (list of row lists)."""
     if not rows or not rows[0]:
         return 0
-    ncols = len(rows[0])
-    width = (p - 1 + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
-    rest = []
-    for row in rows:
-        packed = 0
-        for x in reversed(row):
-            packed = packed << width | x % p
-        rest.append(packed)
-    return _packed_rank(rest, ncols, width, p)
+    return len(_residue_pivots(rows, p)[0])
+
+
+def _power_table(x, size, p):
+    """[1, x, ..., x^(size-1)] over GF(p)."""
+    out = [1]
+    for _ in range(size - 1):
+        out.append(out[-1] * x % p)
+    return out
+
+
+class EvalPlan:
+    """A matrix of LaurentPoly entries compiled for ranks over GF(p) at
+    q = q0, r = r0 (``plan_rank``).
+
+    ``index`` points every position, row by row, at one of the distinct
+    entries.  ``parts`` holds, for every distinct entry and every b with a
+    monomial q^a r^(rlo+b) in it, the entry's power of w, the coefficients
+    and the exponents a - qlo; ``where`` lists the numbers, counted from
+    1, of the rlen parts of each distinct entry in turn, 0 for a zero part.
+    """
+
+    __slots__ = ("index", "nrows", "ncols", "parts", "where", "qlo",
+                 "qlen", "rlo", "rlen", "wmax", "folded")
+
+    def __init__(self, rows):
+        slots = {}
+        self.index = [slots.setdefault(e, len(slots))
+                      for row in rows for e in row]
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        keys = [k for e in slots for k in e.terms] or [(0, 0)]
+        self.qlo = min(a for a, _ in keys)
+        self.qlen = max(a for a, _ in keys) - self.qlo + 1
+        self.rlo = min(b for _, b in keys)
+        self.rlen = max(b for _, b in keys) - self.rlo + 1
+        self.wmax = max((e.wexp for e in slots), default=0)
+        self.parts = []
+        self.where = []
+        for e in slots:
+            by_r = {}
+            for (a, b), c in e.terms.items():
+                cs, qs = by_r.setdefault(b - self.rlo, ([], []))
+                cs.append(c)
+                qs.append(a - self.qlo)
+            where = [0] * self.rlen
+            for b, (cs, qs) in by_r.items():
+                self.parts.append((e.wexp, cs, qs))
+                where[b] = len(self.parts)
+            self.where += where
+        self.folded = None
+
+    def fold(self, p, q0):
+        """The matrix at q = q0 over GF(p) as a polynomial in r, a
+        ``Folded``; only the last (p, q0) is kept, in the slot ``folded``.
+
+        Its blocks[b] packs the matrix of the coefficients of r^(rlo+b),
+        times the unit q0^-qlo, as residues mod p, row by row.  The matrix
+        at r0 sums rlen blocks, each field a product of two residues, and
+        the elimination meets at most nrows pivots: the fields are
+        ``_field_size(rlen, nrows, p)`` bytes, so that one bytes join
+        packs every block.
+        """
+        folded = self.folded
+        if folded is not None and folded.point == (p, q0):
+            return folded
+        w0 = (q0 - pow(q0, -1, p)) % p if q0 % p else 0
+        if w0 == 0:
+            raise ValueError("q0 and w = q - q^-1 must be invertible")
+        at = _power_table(q0, self.qlen, p).__getitem__
+        wpow = _power_table(pow(w0, -1, p), self.wmax + 1, p)
+        size = _field_size(self.rlen, self.nrows, p)
+        pieces = [bytes(size)]
+        pieces += [(sum(map(mul, cs, map(at, qs))) * wpow[k]
+                    % p).to_bytes(size, "little") for k, cs, qs in self.parts]
+        span = self.rlen * size
+        coded = b"".join(map(pieces.__getitem__, self.where))
+        coded = [coded[i:i + span] for i in range(0, len(coded), span)]
+        data = b"".join(map(coded.__getitem__, self.index))
+        blocks = []
+        for b in range(self.rlen):
+            block = bytearray(len(data) // self.rlen)
+            for t in range(size):
+                block[t::size] = data[b * size + t::span]
+            blocks.append(int.from_bytes(block, "little"))
+        self.folded = Folded((p, q0), size, self.nrows, self.ncols, blocks)
+        return self.folded
+
+
+class Folded:
+    """An ``EvalPlan``'s matrix at one (p, q0), packed by ``EvalPlan.fold``.
+    A new (p, q0) makes a new one, so a caller holding this one never sees
+    it change, except that ``plan_rank`` may store in ``rank`` a rank that
+    does not depend on r0."""
+
+    __slots__ = ("point", "width", "step", "nbytes", "blocks", "rank")
+
+    def __init__(self, point, size, nrows, ncols, blocks):
+        self.point = point
+        self.width = 8 * size
+        self.step = ncols * size
+        self.nbytes = nrows * self.step
+        self.blocks = blocks
+        self.rank = None
+
+    def rows_at(self, r0):
+        """The matrix at r = r0, times the unit r0^-rlo, as one packed
+        integer per row."""
+        rpow = _power_table(r0, len(self.blocks), self.point[0])
+        data = sum(map(mul, rpow, self.blocks)).to_bytes(self.nbytes, "little")
+        step = self.step
+        return [int.from_bytes(data[i:i + step], "little")
+                for i in range(0, self.nbytes, step or 1)]
 
 
 def plan_rank(plan, p, q0, r0):
-    """Rank over GF(p) of a ``coeff.EvalPlan``'s matrix at q = q0, r = r0.
+    """Rank over GF(p) of an ``EvalPlan``'s matrix at q = q0, r = r0.
 
     ``plan.fold`` packs the matrix at q0 as a polynomial in r once per
     (p, q0), and ``rows_at`` takes rlen multiply-adds of packed integers to
@@ -218,26 +318,33 @@ def plan_rank(plan, p, q0, r0):
     folded = plan.fold(p, q0)
     if folded.rank is not None:
         return folded.rank
-    rank = _packed_rank(folded.rows_at(r0), plan.ncols, folded.width, p)
+    rows, _cols = _packed_rank(folded.rows_at(r0), plan.ncols,
+                               folded.width, p)
+    rank = len(rows)
     if plan.rlen == 1:
         folded.rank = rank
     return rank
 
 
 def _packed_rank(rest, ncols, width, p):
-    """Rank over GF(p) of rows packed ``width`` bits per column, the
-    leftmost column lowest, with nonnegative fields.
+    """Pivot rows and columns of a forward elimination over GF(p) of rows
+    packed ``width`` bits per column, with nonnegative fields: the rows
+    by their places in the list ``rest``, which is used up, and the
+    columns, both in pivot order.  The submatrix on them is nonsingular
+    modulo p, and their number is the rank modulo p.
 
-    Forward elimination: each pivot clears its column only in the rows not
-    yet used as pivots, is never normalized, and updates only the columns
-    to its right, so one multiply-add updates a whole row and a shift drops
-    the finished column.  Only pivot rows are reduced mod p; every other
-    field grows by at most (p-1)^2 per pivot, and the caller's ``width``
-    leaves room for that, so no field carries into the next.
+    The pivot is the first remaining row nonzero mod p in the column.  It
+    clears its column only in the rows not yet used as pivots, is never
+    normalized, and updates only the columns to its right, so one
+    multiply-add updates a whole row and a shift drops the finished
+    column.  Only pivot rows are reduced mod p; every other field grows by
+    at most (p-1)^2 per pivot, and the caller's ``width`` leaves room for
+    that (``_field_size``), so no field carries into the next.
     """
     mask = (1 << width) - 1
-    rank = 0
-    for _ in range(ncols):
+    index = list(range(len(rest)))
+    rows, cols = [], []
+    for col in range(ncols):
         for i, row in enumerate(rest):
             if (row & mask) % p:
                 break
@@ -245,7 +352,8 @@ def _packed_rank(rest, ncols, width, p):
             rest = [row >> width for row in rest]
             continue
         piv = rest.pop(i)
-        rank += 1
+        rows.append(index.pop(i))
+        cols.append(col)
         neg_inv = -pow(piv & mask, -1, p)
         tail = shift = 0
         piv >>= width
@@ -257,7 +365,7 @@ def _packed_rank(rest, ncols, width, p):
                 for row in rest]
         if not rest:
             break
-    return rank
+    return rows, cols
 
 
 def gf_det(rows, p):

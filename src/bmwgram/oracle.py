@@ -17,6 +17,11 @@ from .coeff import ParamSpec, is_prime
 from .combin import dfn_size, is_e_restricted, partitions
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
+# Most concrete regimes of one sweep, (p - 3)(p - 1) per prime p >= 5:
+# `sweep --primes 181` (32,040 regimes) takes 1.9 s at nmax 2 and 24 s at
+# nmax 5, and --primes 307 (93,024) 5.5 s at nmax 2 (2-vCPU VM, CPython
+# 3.11); the specs alone grow as p^2.
+SWEEP_MAX_REGIMES = 1 << 15
 
 
 @dataclass
@@ -98,6 +103,10 @@ def sweep_specs(primes=DEFAULT_PRIMES):
             raise ValueError("sweep prime %d is not a prime" % p)
         if p in primes[:k]:
             raise ValueError("sweep prime %d is listed twice" % p)
+    count = sum(max(p - 3, 0) * (p - 1) for p in primes)
+    if count > SWEEP_MAX_REGIMES:
+        raise ValueError("%d regimes outside the budget %d of a sweep"
+                         % (count, SWEEP_MAX_REGIMES))
     out = []
     for p in primes:
         for q0 in range(2, p - 1):

@@ -260,6 +260,24 @@ _REGIME = ["--p", "5", "--q0", "2", "--r0", "3"]
     ["sweep", "--nmax", str(DEFAULT_MAX_N + 1)],
     ["gram", "--n", str(DEFAULT_MAX_N + 1), "--f", "4", "--lambda", "()"],
     ["gram", "--n", "9", "--f", "0", "--lambda", "(9)"],
+    pytest.param(["oracle", "--n", "2", "--p", "1000000007", "--q0", "2",
+                  "--r0", "3"], id="oracle p > CONCRETE_MAX_P"),
+    pytest.param(["classify", "--n", "4", "--p", "1000000007", "--q0", "2",
+                  "--r0", "3"], id="classify p > CONCRETE_MAX_P"),
+    pytest.param(["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
+                  "--rank", "--p", "4194319", "--q0", "2", "--r0", "3"],
+                 id="gram --rank p > CONCRETE_MAX_P"),
+    pytest.param(["sweep", "--nmax", "2", "--primes", "10007"],
+                 id="sweep primes 10007"),
+    pytest.param(["sweep", "--nmax", "2", "--primes", "307"],
+                 id="sweep primes 307"),
+    pytest.param(["sweep", "--nmax", "2", "--primes", "2,3,5,7,11,13,191"],
+                 id="sweep primes to 13 and 191"),
+    pytest.param(["classify", "--n", "4", "--p", "318665857834031151167461",
+                  "--e", "3", "--r", "q"], id="classify p >= PRIME_LIMIT"),
+    pytest.param(["classify-brauer", "--n", "4", "--delta", "3",
+                  "--p", "318665857834031151167461"],
+                 id="classify-brauer p >= PRIME_LIMIT"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_degree_budgets(capsys, argv):
     rc = main(argv)

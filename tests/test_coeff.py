@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from bmwgram.coeff import (LaurentPoly, ParamSpec, either,
-                           eval_sign_condition, multiplicative_order,
-                           parse_poly)
+from bmwgram.coeff import (CONCRETE_MAX_P, PRIME_LIMIT, LaurentPoly,
+                           ParamSpec, either, eval_sign_condition, is_prime,
+                           multiplicative_order, parse_poly)
+from bmwgram.exactla import PIVOT_PRIME
 from bmwgram.oracle import sweep_specs
 
 L = LaurentPoly
@@ -304,3 +305,47 @@ def test_reduced_r_exponent():
     assert spec.reduced_r_exponent() == (1, 2)
     spec = ParamSpec.concrete(7, 2, 3)   # 3 = -4 = -2^2
     assert spec.reduced_r_exponent() == (-1, 2)
+
+
+def trial_division(n):
+    """The primality reference: a divisor search up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 4) if is_prime(n)] == \
+        [n for n in range(10 ** 4) if trial_division(n)]
+
+
+def chernick(k):
+    """(6k+1)(12k+1)(18k+1), a Carmichael number when all three factors
+    are prime."""
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                  3215031751]
+    carmichael += [chernick(k) for k in range(1, 200)
+                   if all(trial_division(c * k + 1) for c in (6, 12, 18))]
+    assert len(carmichael) > 15
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 31
+    for n in carmichael + [3825123056546413051]:
+        assert not is_prime(n)
+
+
+def test_is_prime_large():
+    for p in ((1 << 61) - 1, PIVOT_PRIME, 1000003, (1 << 31) - 1):
+        assert is_prime(p)
+        assert not is_prime(p * 1009)
+    assert not is_prime((1 << 61) + 1)
+    with pytest.raises(ValueError, match="outside the budget"):
+        is_prime(PRIME_LIMIT)   # passes every base, and is composite
+
+
+def test_concrete_budget_admits_a_million():
+    with pytest.raises(ValueError, match="outside the budget"):
+        ParamSpec.concrete(CONCRETE_MAX_P + 1, 2, 3)
+    spec = ParamSpec.concrete(1000003, 2, 3)
+    assert spec.e == multiplicative_order(4, 1000003)

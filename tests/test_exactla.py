@@ -37,7 +37,7 @@ def _with_noise(rng, matrix, p):
     return out
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + ((1 << 61) - 1, PIVOT_PRIME))
 def test_gf_rank_known_rank(p):
     rng = random.Random(p)
     for rows, cols, rank in SHAPES:
@@ -77,6 +77,48 @@ def test_gf_rank_degenerate_shapes():
     assert gf_rank([[0, 14, -7]], 7) == 0
     assert gf_rank([[0, 0, 3]], 7) == 1
     assert gf_rank([[0], [0], [5]], 7) == 1
+
+
+def gf_pivots(m, p):
+    """The reference pivots: pivot rows and columns, in pivot order, of a
+    forward elimination of the integer matrix m over GF(p) on lists of
+    residues, each pivot the first remaining row nonzero in its column."""
+    rest = [(i, [x % p for x in row]) for i, row in enumerate(m)]
+    rows, cols = [], []
+    for col in range(len(m[0])):
+        for k, (_i, row) in enumerate(rest):
+            if row[0]:
+                break
+        else:
+            rest = [(i, row[1:]) for i, row in rest]
+            continue
+        i, top = rest.pop(k)
+        rows.append(i)
+        cols.append(col)
+        inv = pow(top[0], -1, p)
+        top = top[1:]
+        reduced = []
+        for i, row in rest:
+            c = row[0] * inv % p
+            reduced.append((i, [(a - c * b) % p for a, b in zip(row[1:], top)]
+                            if c else row[1:]))
+        rest = reduced
+    return rows, cols
+
+
+@pytest.mark.parametrize("p", PRIMES + (PIVOT_PRIME,))
+def test_packed_pivots_match_reference(p):
+    """The packed elimination picks the reference's pivot rows, by their
+    original numbers, and columns."""
+    rng = random.Random(3000 + p)
+    for rows, cols, rank in SHAPES:
+        if rows == 0:
+            continue
+        for _ in range(3):
+            m = _known_rank(rng, rows, cols, rank, p)
+            pivots = exactla._residue_pivots(m, p)
+            assert pivots == gf_pivots(m, p)
+            assert len(pivots[0]) == rank
 
 
 def laurent_bareiss_det(matrix):
@@ -274,7 +316,8 @@ RANK_DROPS_MOD_P = [
 @pytest.mark.parametrize("matrix, det", RANK_DROPS_MOD_P,
                          ids=["upper", "P-below", "diagonal", "3x3", "cube"])
 def test_rank_drop_mod_pivot_prime_falls_back(matrix, det):
-    rows, cols = exactla._gf_pivots(matrix, P)
+    rows, cols = exactla._residue_pivots(matrix, P)
+    assert (rows, cols) == gf_pivots(matrix, P)
     assert len(rows) < len(matrix)
     assert not exactla._kernel_certifies_zero(matrix, rows, cols)
     assert exactla._int_det([list(row) for row in matrix]) == det
@@ -292,7 +335,8 @@ def test_kernel_vector_of_integer_low_rank(size):
         b = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(size)]
              for _ in range(rank)]
         m = _low_rank(a, b, size)
-        rows, cols = exactla._gf_pivots(m, P)
+        rows, cols = exactla._residue_pivots(m, P)
+        assert (rows, cols) == gf_pivots(m, P)
         assert len(rows) == len(cols) == rank
         assert exactla._kernel_certifies_zero(m, rows, cols)
         assert exactla._int_det(m) == 0
