@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .bmw import fold_T, mul_elems, star_elem
 from .coeff import LaurentPoly
-from .combin import (d_of, dfn, partitions, perm_id, perm_word,
+from .combin import (d_of, dfn, partitions, perm_id, perm_len, perm_word,
                      std_tableaux)
 from .exactla import EvalPlan, bareiss_det, plan_rank
 from .hecke import HeckeElem, cell_coefficient, cell_form, young_subgroup
@@ -31,6 +31,12 @@ SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a symbolic determinant:
                           # the 45-dimensional n = 6 cells already take up
                           # to 90 s (2-vCPU VM, CPython 3.11), and n = 7
                           # cells reach dimension 210
+SUBST_MAX_EXP = 100       # largest |a| of gram --subst r=±q^a, refused
+                          # before the Gram matrix is built: gram --det
+                          # takes 0.19, 0.31 and 1.7 s at a = 100, 1,000
+                          # and 4,000 on (3,1,(1)), 0.18 s, 8.3 s and past
+                          # 60 s on (4,1,(2)), and 1.4 s at a = 10 and 37 s
+                          # at 40 on (5,2,(1)) (2-vCPU VM, CPython 3.11)
 DEFAULT_MAX_N = 7         # largest degree of gram_matrix, the oracle and sweep
 DIMS_MAX_N = 30           # largest degree of cell_dims: 0.8 s at n = 30
                           # and 6 s at 40 (2-vCPU VM, CPython 3.11); n = 200
@@ -125,7 +131,6 @@ def _seed_element(cell):
     m = n - 2 * f
     terms = {}
     for x in young_subgroup(lam, m):
-        from .combin import perm_len
         terms[(f, perm_id(n), x, perm_id(n))] = LaurentPoly.q(perm_len(x))
     return terms
 
@@ -175,6 +180,25 @@ def gram_matrix(cell):
                     entries[a][b] = val
                     entries[b][a] = val
     return GramMatrix(cell, labels, entries)
+
+
+def check_sign_certificate(gram):
+    """Check the Gram matrix against the sign automorphism T_i -> -T_i,
+    E_i -> E_i, q -> -q, r -> -r of the algebra (w -> -w, delta fixed):
+    every monomial q^a r^b w^-k of entry ((s, u), (t, v)) must have
+    a + b + k = l(d(s)) + l(u) + l(d(t)) + l(v) mod 2.  Then
+    G(-q0, -r0) = S G(q0, r0) S over GF(p), S = diag((-1)^(l(d(t)) + l(v))),
+    and the ranks at (q0, r0) and (-q0, -r0) agree.  A failure is a fault
+    in the Gram assembly and raises RuntimeError."""
+    labels = gram.labels
+    signs = [perm_len(d_of(t)) + perm_len(v) for t, v in labels]
+    for i, row in enumerate(gram.entries):
+        for j, e in enumerate(row):
+            parity = e.wexp + signs[i] + signs[j]
+            if any((a + b + parity) % 2 for a, b in e.terms):
+                raise RuntimeError("Gram entry (%r, %r) of %r fails the sign "
+                                   "certificate: %s"
+                                   % (labels[i], labels[j], gram.cell, e))
 
 
 def direct_gram(cell):

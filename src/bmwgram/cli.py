@@ -190,6 +190,9 @@ def cmd_gram(args):
         if subst == "generic":
             raise ValueError("--subst takes r=±q^a; for generic r leave "
                              "--subst out")
+        if abs(subst[1]) > CM.SUBST_MAX_EXP:
+            raise ValueError("--subst %s outside the budget |a| <= %d"
+                             % (args.subst, CM.SUBST_MAX_EXP))
     spec = _rank_point(args, subst)
     gram = CM.gram_matrix(cell)
     if subst is not None:

@@ -15,7 +15,6 @@ holds the parser and the primality test; matrices over GF(p) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 
 def _strip(terms):
@@ -456,9 +455,11 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 318665857834031151167461
 
 # Largest p of ParamSpec.concrete, which walks the powers of q0 up to
-# ord(q0^2) twice: a spec at a primitive root q0 and r0 = q0^(e-1) takes
-# 0.15 s at p = 1,000,003, 0.63 s at 4,194,301 (the largest prime below
-# 2^22) and 1.9 s at 16,777,213 (2-vCPU VM, CPython 3.11).
+# ord(q0^2) once: a spec at a primitive root q0 and r0 = q0^(e-1) takes
+# 0.05-0.08 s at p = 1,000,003, 0.35-0.37 s at 4,194,301 (the largest prime
+# below 2^22) and 0.85-0.89 s at 16,777,213, against 0.09 s, 0.41-0.60 s
+# and 1.5-1.6 s with the former two walks (cold, 3 runs each, 2-vCPU VM,
+# CPython 3.11).
 CONCRETE_MAX_P = 1 << 22
 
 
@@ -486,19 +487,6 @@ def is_prime(p):
         else:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def multiplicative_order(x, p):
-    x %= p
-    if x == 0:
-        raise ValueError("0 has no multiplicative order")
-    k = 1
-    acc = x
-    while acc != 1:
-        acc = acc * x % p
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +563,22 @@ class ParamSpec:
             raise ValueError("q0 and r0 must be nonzero")
         if q0 * q0 % p == 1:
             raise ValueError("q0^2 = 1 makes w = q - q^-1 vanish")
-        # p is odd here: GF(2)* = {1} holds no admissible q0
-        e = multiplicative_order(q0 * q0 % p, p)
-        r = GENERIC
-        power = 1
-        for a in range(e):
-            if power == r0 or power == p - r0:
+        # p is odd here: GF(2)* = {1} holds no admissible q0.  One walk of
+        # the powers of q0: q0^a = ±1 exactly when ord(q0^2) divides a, so
+        # the first such a >= 1 is e and its sign that of q^e, and r is
+        # ±q0^a at the first a < e where q0^a = ±r0, if there is one.
+        neg_r0, neg_one = p - r0, p - 1
+        r = None
+        power, a = 1, 0
+        while True:
+            if r is None and (power == r0 or power == neg_r0):
                 r = (1 if power == r0 else -1, a)
-                break
             power = power * q0 % p
-        qe = 1 if pow(q0, e, p) == 1 else -1
+            a += 1
+            if power == 1 or power == neg_one:
+                break
+        e, qe = a, (1 if power == 1 else -1)
+        r = r or GENERIC
         return replace(cls.symbolic(e=e, p=p, r=r, qe=qe), q0=q0, r0=r0)
 
     def is_concrete(self):

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .coeff import LaurentPoly
-
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -107,19 +105,6 @@ def conjugate(lam):
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
-def dominates(lam, mu):
-    """lam dominates mu (both partitions of the same size)."""
-    if sum(lam) != sum(mu):
-        return False
-    pa = pb = 0
-    for i in range(max(len(lam), len(mu))):
-        pa += lam[i] if i < len(lam) else 0
-        pb += mu[i] if i < len(mu) else 0
-        if pa < pb:
-            return False
-    return True
-
-
 def contains(lam, mu):
     """lam contains mu as Young diagrams."""
     if len(mu) > len(lam):
@@ -170,14 +155,6 @@ def nu_ep(h, e, p):
     return v
 
 
-def content(lam, node):
-    """Content of a node: r * q^{2(j - i)}."""
-    i, j = node
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError("node %r outside diagram of %r" % (node, lam))
-    return LaurentPoly({(2 * (j - i), 1): 1})
-
-
 # ---------------------------------------------------------------------------
 # standard tableaux
 # ---------------------------------------------------------------------------
@@ -217,15 +194,6 @@ def d_of(t):
     row reading word of t."""
     word = tuple(x for row in t for x in row)
     return word
-
-
-def superstandard(lam):
-    out = []
-    k = 1
-    for part in lam:
-        out.append(tuple(range(k, k + part)))
-        k += part
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +239,6 @@ def dfn_size(f, n):
     for k in range(2, n - 2 * f + 1):
         den *= k
     return num // den
-
-
-def dangle_data(n, f, v):
-    """(through value tuple, sorted pair tuple) of a D_{f,n} element."""
-    m = n - 2 * f
-    thr = tuple(v[:m])
-    prs = tuple(tuple(sorted((v[m + 2 * k], v[m + 2 * k + 1])))
-                for k in range(f))
-    return thr, prs
 
 
 def dangle_from_data(n, f, through_set, pairs):

@@ -3,9 +3,8 @@ determinants and prime-field ranks.  No floating point anywhere.
 
 Every elimination over GF(p) here is ``_packed_rank``, on rows packed into
 one integer each, ``_field_size`` bytes per column and the first column
-lowest: integer matrices by their residues (``gf_rank``, ``_int_det``'s
-pivot pass) and Gram matrices through an ``EvalPlan`` folded at (p, q0)
-(``plan_rank``).  ``gf_det`` is the tests' determinant reference."""
+lowest: integer matrices by their residues (``_int_det``'s pivot pass) and
+Gram matrices through an ``EvalPlan`` folded at (p, q0) (``plan_rank``)."""
 
 from __future__ import annotations
 
@@ -186,13 +185,6 @@ def _residue_pivots(rows, p):
     return _packed_rank(packed, ncols, 8 * size, p)
 
 
-def gf_rank(rows, p):
-    """Rank over GF(p) of an integer matrix (list of row lists)."""
-    if not rows or not rows[0]:
-        return 0
-    return len(_residue_pivots(rows, p)[0])
-
-
 def _power_table(x, size, p):
     """[1, x, ..., x^(size-1)] over GF(p)."""
     out = [1]
@@ -366,28 +358,3 @@ def _packed_rank(rest, ncols, width, p):
         if not rest:
             break
     return rows, cols
-
-
-def gf_det(rows, p):
-    """Determinant over GF(p) of a square integer matrix."""
-    m = [[x % p for x in row] for row in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if m[row][col]:
-                piv = row
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det % p
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for row in range(col + 1, n):
-            if m[row][col]:
-                c = m[row][col] * inv % p
-                m[row] = [(a - c * b) % p for a, b in zip(m[row], m[col])]
-    return det % p

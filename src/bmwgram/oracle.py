@@ -5,14 +5,23 @@ irreducible module of the small Hecke algebra, which happens iff for some
 f >= 1 and some e-restricted lam of n-2f the induced module
 |D_{f,n}| * dim D^lam is strictly bigger than the simple head of the cell
 module, i.e. the rank of its specialized Gram matrix.
+
+The defining relations are unchanged under T_i -> -T_i, E_i -> E_i,
+q -> -q, r -> -r, since w = q - q^-1 changes sign and delta stays fixed.
+So B_n(q0, r0) and B_n(-q0, -r0) have the same cell-module ranks, and
+agreement_sweep computes one report per orbit {(p, q0, r0), (p, p - q0,
+p - r0)}.  The reuse is exact, not assumed: ord(q0^2) and |D_{f,n}| are
+the same at both points, and every Gram matrix the report read passes
+cellmod.check_sign_certificate, which makes G(-q0, -r0) = S G(q0, r0) S
+with S diagonal of signs, so every rank in the table is the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims, gram_matrix,
-                      specialized_rank)
+from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims,
+                      check_sign_certificate, gram_matrix, specialized_rank)
 from .coeff import ParamSpec, is_prime
 from .combin import dfn_size, is_e_restricted, partitions
 
@@ -122,15 +131,33 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
 
     Returns (rows, disagreements): rows are (n, spec, oracle verdict,
     classifier verdict), disagreements are (n, spec, oracle report,
-    classifier verdict).
+    classifier verdict).  The oracle runs once per orbit (module
+    docstring): its report serves the partner (p, p - q0, p - r0), later
+    in the same prime, with the partner's spec, once every Gram matrix it
+    read has passed the sign certificate (checked once per cell).
     """
     from .classify import classify_bmw
     rows = []
     disagreements = []
     specs = sweep_specs(primes)
+    certified = set()
+    partners = {}
     for n in ns:
         for spec in specs:
-            rep = singular_oracle(n, spec)
+            p = spec.p
+            rep = partners.pop((p, spec.q0, spec.r0), None)
+            if rep is None:
+                rep = singular_oracle(n, spec)
+                read = [(n, f, lam) for f, lam, _a, _b in rep.table]
+                read += [(n - 2 * f, 0, lam)
+                         for f, lam, _a, _b in rep.table if lam]
+                for cell in read:
+                    if cell not in certified:
+                        check_sign_certificate(_gram(*cell))
+                        certified.add(cell)
+                partners[(p, p - spec.q0, p - spec.r0)] = rep
+            else:
+                rep = replace(rep, spec=spec)
             verdict = classify_bmw(n, spec)
             rows.append((n, spec, rep.singular, verdict.singular))
             if rep.singular != verdict.singular:

@@ -7,9 +7,10 @@ import pytest
 from bmwgram import bmw, cellmod as CM
 from bmwgram.bmw import DELTA, basis_size
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import partitions
-from bmwgram.exactla import PIVOT_PRIME, gf_rank, plan_rank
+from bmwgram.combin import d_of, partitions, perm_len
+from bmwgram.exactla import PIVOT_PRIME, plan_rank
 from bmwgram.oracle import sweep_specs
+from test_exactla import gf_det, gf_rank
 
 L = LaurentPoly
 
@@ -91,7 +92,6 @@ def test_top_cell_vanishing():
 
 
 def test_specialization_commutes_with_det():
-    from bmwgram.exactla import gf_det
     for n, f, lam in ((2, 1, ()), (3, 1, (1,)), (4, 1, (2,))):
         g = CM.gram_matrix(CM.CellIndex(n, f, lam))
         det = CM.gram_det(g)
@@ -141,6 +141,33 @@ def test_matrix_json_roundtrip():
     g2 = CM.GramMatrix.from_json(data)
     assert g2.entries == g.entries
     assert g2.cell == g.cell
+
+
+def test_sign_certificate_holds_on_every_cell():
+    """Every cell with n <= 6 is graded by the sign automorphism
+    q -> -q, r -> -r, T_i -> -T_i, and its labels carry both signs, so
+    the certificate says more than G(-q, -r) = +-G(q, r)."""
+    mixed = 0
+    for n in range(7):
+        for cell in CM.cell_dims(n):
+            gram = CM.gram_matrix(cell)
+            CM.check_sign_certificate(gram)
+            signs = {(perm_len(d_of(t)) + perm_len(v)) % 2
+                     for t, v in gram.labels}
+            mixed += len(signs) == 2
+    assert mixed > 30
+
+
+def test_sign_certificate_catches_a_wrong_entry():
+    gram = CM.gram_matrix(CM.CellIndex(4, 1, (2,)))
+    CM.check_sign_certificate(gram)
+    a, b = next((a, b) for a, row in enumerate(gram.entries)
+                for b, e in enumerate(row) if a != b and e)
+    entries = [list(row) for row in gram.entries]
+    entries[a][b] = entries[a][b] * L.q()
+    bad = CM.GramMatrix(gram.cell, gram.labels, entries)
+    with pytest.raises(RuntimeError, match="sign certificate"):
+        CM.check_sign_certificate(bad)
 
 
 def test_symbolic_det_guard():

@@ -7,7 +7,7 @@ import pytest
 
 import bmwgram
 from bmwgram import cli
-from bmwgram.cellmod import DIMS_MAX_N
+from bmwgram.cellmod import DIMS_MAX_N, SUBST_MAX_EXP
 from bmwgram.cli import main
 from bmwgram.oracle import DEFAULT_MAX_N, agreement_sweep
 
@@ -166,6 +166,14 @@ def test_subst_generic_refused(capsys, extra):
                             "leave --subst out\n")
 
 
+@pytest.mark.parametrize("a", [SUBST_MAX_EXP, -SUBST_MAX_EXP])
+def test_subst_budget_admits_its_bound(capsys, a):
+    rc, out = run(capsys, ["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
+                           "--subst", "r=-q^%d" % a, "--det"])
+    assert rc == 0
+    assert out.startswith("det = ")
+
+
 CONCRETE_FIXES_REGIME = ("error: a concrete point --q0 --r0 fixes e, r and "
                          "the sign of q^e; do not also give --e, --r or --qe")
 
@@ -278,6 +286,12 @@ _REGIME = ["--p", "5", "--q0", "2", "--r0", "3"]
     pytest.param(["classify-brauer", "--n", "4", "--delta", "3",
                   "--p", "318665857834031151167461"],
                  id="classify-brauer p >= PRIME_LIMIT"),
+    pytest.param(["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
+                  "--subst", "r=q^%d" % (SUBST_MAX_EXP + 1), "--det"],
+                 id="gram --subst r=q^a past SUBST_MAX_EXP"),
+    pytest.param(["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
+                  "--subst", "r=-q^-10000", "--rank", "--p", "5", "--q0", "2",
+                  "--r0", "4"], id="gram --subst r=-q^-10000 --rank"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_degree_budgets(capsys, argv):
     rc = main(argv)
@@ -286,6 +300,30 @@ def test_degree_budgets(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "outside the budget" in lines[0]
+    assert lines[0].startswith("error: ")
+
+
+def test_sweep_refuses_gram_without_sign_certificate(capsys, monkeypatch):
+    """Gram matrices scaled by q keep every rank, so the oracle runs as
+    before, but fail the sign certificate that lets a sweep reuse a report
+    at (p, p - q0, p - r0): one error line and exit 1."""
+    from bmwgram import cellmod as CM, oracle as OR
+    from bmwgram.coeff import LaurentPoly
+
+    def scaled(cell):
+        gram = CM.gram_matrix(cell)
+        return CM.GramMatrix(cell, gram.labels,
+                             [[e * LaurentPoly.q() for e in row]
+                              for row in gram.entries])
+
+    monkeypatch.setattr(OR, "_GRAM_CACHE", {})
+    monkeypatch.setattr(OR, "gram_matrix", scaled)
+    rc = main(["sweep", "--nmax", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "fails the sign certificate" in lines[0]
     assert lines[0].startswith("error: ")
 
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from bmwgram.coeff import (CONCRETE_MAX_P, PRIME_LIMIT, LaurentPoly,
+from bmwgram.coeff import (CONCRETE_MAX_P, GENERIC, PRIME_LIMIT, LaurentPoly,
                            ParamSpec, either, eval_sign_condition, is_prime,
-                           multiplicative_order, parse_poly)
+                           parse_poly)
 from bmwgram.exactla import PIVOT_PRIME
 from bmwgram.oracle import sweep_specs
 
@@ -342,6 +343,80 @@ def test_is_prime_large():
     assert not is_prime((1 << 61) + 1)
     with pytest.raises(ValueError, match="outside the budget"):
         is_prime(PRIME_LIMIT)   # passes every base, and is composite
+
+
+def multiplicative_order(x, p):
+    x %= p
+    if x == 0:
+        raise ValueError("0 has no multiplicative order")
+    k = 1
+    acc = x
+    while acc != 1:
+        acc = acc * x % p
+        k += 1
+    return k
+
+
+def concrete_by_two_walks(p, q0, r0):
+    """ParamSpec.concrete as it was before its one walk: ord(q0^2) by the
+    powers of q0^2, then r0 = ±q0^a by a second walk of the powers of q0,
+    and the sign of q0^e by pow.  The reference for the one walk."""
+    q0 %= p
+    r0 %= p
+    e = multiplicative_order(q0 * q0 % p, p)
+    r = GENERIC
+    power = 1
+    for a in range(e):
+        if power == r0 or power == p - r0:
+            r = (1 if power == r0 else -1, a)
+            break
+        power = power * q0 % p
+    qe = 1 if pow(q0, e, p) == 1 else -1
+    return replace(ParamSpec.symbolic(e=e, p=p, r=r, qe=qe), q0=q0, r0=r0)
+
+
+def test_one_walk_matches_two_walks_small_primes():
+    """Every field of every concrete spec with p <= 31."""
+    count = 0
+    for p in (3,) + GF_PRIMES:
+        for q0 in range(2, p - 1):
+            if q0 * q0 % p == 1:
+                continue
+            for r0 in range(1, p):
+                assert ParamSpec.concrete(p, q0, r0) == \
+                    concrete_by_two_walks(p, q0, r0), (p, q0, r0)
+                count += 1
+    assert count == len(sweep_specs((3,) + GF_PRIMES))
+
+
+def test_one_walk_matches_two_walks_near_the_budget():
+    """The three largest primes up to CONCRETE_MAX_P, at the roots
+    q0 = 7^((p-1)/k) for every 3 <= k <= 40 dividing p - 1, each with
+    r0 = q0^(e-1), -q0^(e-1) and a few random r0; and the longest walk
+    the budget allows, at the largest prime, where 7 is a primitive root,
+    q0 = 7 and r0 = q0^(e-1)."""
+    rng = random.Random(22)
+    primes = [p for p in range(CONCRETE_MAX_P, CONCRETE_MAX_P - 200, -1)
+              if is_prime(p)][:3]
+    assert len(primes) == 3
+    seen = set()
+    for p in primes:
+        for k in range(3, 41):
+            if (p - 1) % k:
+                continue
+            q0 = pow(7, (p - 1) // k, p)
+            top = pow(q0, multiplicative_order(q0 * q0, p) - 1, p)
+            for r0 in [top, p - top] + [rng.randrange(1, p)
+                                        for _ in range(3)]:
+                spec = ParamSpec.concrete(p, q0, r0)
+                assert spec == concrete_by_two_walks(p, q0, r0), (p, q0, r0)
+                seen.add(spec.r_sign)
+    assert seen == {1, -1, 0}
+    p = primes[0]
+    r0 = pow(7, (p - 1) // 2 - 1, p)
+    spec = ParamSpec.concrete(p, 7, r0)
+    assert spec == concrete_by_two_walks(p, 7, r0)
+    assert (spec.e, spec.r_exp) == ((p - 1) // 2, (p - 1) // 2 - 1)
 
 
 def test_concrete_budget_admits_a_million():

@@ -6,13 +6,52 @@ import pytest
 from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import (_even_marks, _matchings, _pairings,
                             apply_right_s, cells, conjugate, contains, d_of,
-                            dangle_data, dfn, dfn_size, dominates,
-                            forbidden_r_values, hook_lengths, is_admissible,
-                            is_e_restricted, content, nu_ep, num_std_tableaux,
-                            partitions, perm_from_word, perm_id, perm_inv,
-                            perm_len, perm_mul, perm_word, std_tableaux,
-                            superstandard)
+                            dfn, dfn_size, forbidden_r_values, hook_lengths,
+                            is_admissible, is_e_restricted, nu_ep,
+                            num_std_tableaux, partitions, perm_from_word,
+                            perm_id, perm_inv, perm_len, perm_mul, perm_word,
+                            std_tableaux)
 from bmwgram.oracle import sweep_specs
+
+
+def dominates(lam, mu):
+    """lam dominates mu (both partitions of the same size)."""
+    if sum(lam) != sum(mu):
+        return False
+    pa = pb = 0
+    for i in range(max(len(lam), len(mu))):
+        pa += lam[i] if i < len(lam) else 0
+        pb += mu[i] if i < len(mu) else 0
+        if pa < pb:
+            return False
+    return True
+
+
+def content(lam, node):
+    """Content of a node: r * q^{2(j - i)}."""
+    i, j = node
+    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
+        raise ValueError("node %r outside diagram of %r" % (node, lam))
+    return LaurentPoly({(2 * (j - i), 1): 1})
+
+
+def superstandard(lam):
+    """The row-reading tableau t^lam."""
+    out = []
+    k = 1
+    for part in lam:
+        out.append(tuple(range(k, k + part)))
+        k += part
+    return tuple(out)
+
+
+def dangle_data(n, f, v):
+    """(through value tuple, sorted pair tuple) of a D_{f,n} element."""
+    m = n - 2 * f
+    thr = tuple(v[:m])
+    prs = tuple(tuple(sorted((v[m + 2 * k], v[m + 2 * k + 1])))
+                for k in range(f))
+    return thr, prs
 
 
 def test_partitions():
@@ -120,6 +159,14 @@ def test_content():
     assert content((2, 1), (2, 1)) == LaurentPoly({(-2, 1): 1})
     with pytest.raises(ValueError):
         content((2,), (2, 1))
+    # the reference for cellmod.central_scalar: the product of the contents
+    from bmwgram.cellmod import CellIndex, central_scalar
+    for m in range(1, 6):
+        for lam in partitions(m):
+            prod = LaurentPoly.one()
+            for node in cells(lam):
+                prod = prod * content(lam, node)
+            assert central_scalar(CellIndex(m, 0, lam)) == prod
 
 
 def test_dominance_partial_order():
@@ -130,6 +177,9 @@ def test_dominance_partial_order():
         for lam, mu in itertools.permutations(parts, 2):
             if dominates(lam, mu) and dominates(mu, lam):
                 assert lam == mu
+            # partitions lists a linear extension of the dominance order
+            if dominates(lam, mu):
+                assert parts.index(lam) < parts.index(mu)
 
 
 def test_admissible_examples():

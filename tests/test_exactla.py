@@ -4,8 +4,42 @@ import pytest
 
 from bmwgram import exactla
 from bmwgram.coeff import LaurentPoly
-from bmwgram.exactla import PIVOT_PRIME, bareiss_det, gf_det, gf_rank
+from bmwgram.exactla import PIVOT_PRIME, bareiss_det
 from bmwgram.hecke import _divexact
+
+
+def gf_rank(rows, p):
+    """Rank over GF(p) of an integer matrix (list of row lists), by the
+    kernel's pivots on its residues."""
+    if not rows or not rows[0]:
+        return 0
+    return len(exactla._residue_pivots(rows, p)[0])
+
+
+def gf_det(rows, p):
+    """Determinant over GF(p) of a square integer matrix: the determinant
+    reference."""
+    m = [[x % p for x in row] for row in rows]
+    n = len(m)
+    det = 1
+    for col in range(n):
+        piv = None
+        for row in range(col, n):
+            if m[row][col]:
+                piv = row
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det % p
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for row in range(col + 1, n):
+            if m[row][col]:
+                c = m[row][col] * inv % p
+                m[row] = [(a - c * b) % p for a, b in zip(m[row], m[col])]
+    return det % p
 
 PRIMES = (2, 3, 5, 31, 101)
 # (rows, columns, rank of A*B)

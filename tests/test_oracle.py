@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bmwgram.cellmod import CellIndex, cell_dims
@@ -79,3 +81,24 @@ def test_agreement_sweep_without_regimes_fails():
         suite_oracle_agreement(nmax=3, primes=(2, 3))
     with pytest.raises(ValueError, match="reaches no regime"):
         agreement_sweep(ns=(), primes=(5,))
+
+
+def test_sweep_reports_equal_fresh_oracle(monkeypatch):
+    """With the classifier's verdicts inverted every regime comes back as
+    a disagreement, so every report of the sweep is seen: each equals a
+    fresh singular_oracle at its own spec, field for field, although one
+    report per orbit {(p, q0, r0), (p, p - q0, p - r0)} was computed."""
+    import bmwgram.classify as CL
+    real = CL.classify_bmw
+
+    def inverted(n, spec):
+        verdict = real(n, spec)
+        return replace(verdict, singular=not verdict.singular)
+
+    monkeypatch.setattr(CL, "classify_bmw", inverted)
+    primes = (5, 7, 11, 13)
+    rows, disagreements = agreement_sweep(ns=(2, 3, 4, 5), primes=primes)
+    assert len(rows) == len(disagreements) == 4 * len(sweep_specs(primes))
+    for n, spec, rep, _verdict in disagreements:
+        assert rep.spec is spec
+        assert rep == singular_oracle(n, spec), (n, str(spec))
