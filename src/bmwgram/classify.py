@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import either, is_prime
+from .coeff import DELTA, either, is_prime
 from .combin import (forbidden_r_values, hook_lengths, is_e_restricted,
                      nu_ep, partitions)
 
@@ -24,14 +24,9 @@ class Verdict:
     notes: str = ""
 
     def to_json(self):
-        wit = None
-        if isinstance(self.witness, tuple) and len(self.witness) == 2 \
-                and isinstance(self.witness[0], tuple):
-            wit = [[self.witness[0][0], list(self.witness[0][1])],
-                   [self.witness[1][0], list(self.witness[1][1])]]
-        elif self.witness is not None:
-            wit = list(self.witness) if isinstance(self.witness, (tuple, list)) \
-                else self.witness
+        wit = self.witness
+        if isinstance(wit, (tuple, list)):
+            wit = list(wit)
         return {"singular": self.singular, "clause": self.clause,
                 "witness": wit, "notes": self.notes}
 
@@ -107,14 +102,11 @@ def classify_bmw(n, spec):
 
 def delta_of(spec):
     """delta = (q+r)(qr-1)/(r(q+1)(q-1)) under the spec."""
-    from .coeff import LaurentPoly
-    base = LaurentPoly.one() + LaurentPoly.omega_inv() * (
-        LaurentPoly.r() - LaurentPoly.r(-1))
     if spec.is_concrete():
-        return base.specialize(spec.p, spec.q0, spec.r0)
+        return DELTA.specialize(spec.p, spec.q0, spec.r0)
     if spec.r_sign == 0:
-        return base
-    return base.substitute_r(spec.r_sign, spec.r_exp)
+        return DELTA
+    return DELTA.substitute_r(spec.r_sign, spec.r_exp)
 
 
 def classify_brauer(n, delta, p):
@@ -137,9 +129,7 @@ def classify_brauer(n, delta, p):
         return Verdict(False, "main1.1.a", notes="delta not an integer value")
     if p is not None:
         delta = delta % p
-        zero = delta == 0
-    else:
-        zero = delta == 0
+    zero = delta == 0
     if not zero:
         if p is None:
             hit = delta in set_Z(n)

@@ -311,6 +311,12 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
+# delta = 1 + (r - r^{-1})/w = (q + r)(qr - 1)/(r(q + 1)(q - 1)), the value
+# of a closed loop: E_i^2 = delta E_i
+DELTA = LaurentPoly.one() + LaurentPoly.omega_inv() * (
+    LaurentPoly.r() - LaurentPoly.r(-1))
+
+
 def render_terms(terms):
     parts = []
     for (a, b) in sorted(terms, reverse=True):

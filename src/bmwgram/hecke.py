@@ -140,16 +140,6 @@ def x_lambda(lam, m=None):
     return HeckeElem(m, terms)
 
 
-def signed_symmetrizer(mu, m):
-    """n_mu = sum over the Young subgroup of (-q)^{-length} g_w, the
-    q-antisymmetrizer: g_i n_mu = -q^{-1} n_mu for row generators of mu."""
-    terms = {}
-    for w in young_subgroup(mu, m):
-        l = perm_len(w)
-        terms[w] = LaurentPoly.monomial((-1) ** (l % 2), -l, 0)
-    return HeckeElem(m, terms)
-
-
 def column_superstandard(lam):
     """The standard tableau filled 1, 2, ... down successive columns."""
     rows = [[0] * part for part in lam]
@@ -167,17 +157,28 @@ def _cell_probe(lam, m):
     """Data for reading the X_lam-coefficient of elements of the two-sided
     cell generated by X_lam, modulo higher cells.
 
-    Pairing any such element on the right with T_{d(t_col)} n_{lam'} kills
-    everything above the cell and sends X_lam to the fixed nonzero probe
-    element z; the coefficient is recovered by exact division.
+    Pairing any such element on the right with g_{d(t_col)} n_{lam'} kills
+    everything above the cell and sends X_lam to the probe element
+    z = X_lam g_{d(t_col)} n_{lam'}.  S_lam and d(t_col) S_{lam'} d(t_col)^{-1}
+    meet trivially (a row and a column share at most one box), so every
+    a d(t_col) b with a in S_lam, b in S_{lam'} is a distinct, length-additive
+    product (Dipper-James 1986): z = sum q^{l(a)} (-q)^{-l(b)} g_{a d(t_col) b}.
+    Its longest term, a = w_lam and b = w_lam', has the unit coefficient
+    q^{l(w_lam)} (-q)^{-l(w_lam')}; the coefficient is read against it with
+    the inverse unit, no division.
     """
     wcol = perm_word(d_of(column_superstandard(lam)))
-    n_el = signed_symmetrizer(conjugate(lam), m)
-    z = x_lambda(lam, m).times_basis_word(wcol) * n_el
+    z = times_signed_symmetrizer(x_lambda(lam, m).times_basis_word(wcol),
+                                 conjugate(lam))
     if z.is_zero():
         raise AssertionError("degenerate cell probe for %r" % (lam,))
     zref = max(z.terms, key=lambda w: (perm_len(w), w))
-    return wcol, z, zref
+    top = z.terms[zref]
+    (a, b), c = next(iter(top.terms.items()))
+    if len(top.terms) != 1 or top.wexp or b or c not in (1, -1):
+        raise AssertionError("cell probe for %r has top coefficient %s, "
+                             "not a unit +-q^k" % (lam, top))
+    return wcol, z, zref, LaurentPoly.monomial(c, -a)
 
 
 @lru_cache(maxsize=None)
@@ -230,63 +231,19 @@ def times_signed_symmetrizer(elem, mu):
 def cell_coefficient(elem, lam):
     """Coefficient c with elem = c * X_lam modulo higher cells.
 
-    elem must lie in X_lam * H * X_lam + (higher cells); the result is
-    exact and the full proportionality is checked.
+    elem must lie in X_lam * H * X_lam + (higher cells).  c is read at the
+    probe's longest term, times the inverse of its unit coefficient (see
+    _cell_probe), and the full proportionality is checked.
     """
-    wcol, z, zref = _cell_probe(lam, elem.m)
+    wcol, z, zref, inv = _cell_probe(lam, elem.m)
     paired = times_signed_symmetrizer(elem.times_basis_word(wcol),
                                       conjugate(lam))
     if paired.is_zero():
         return LaurentPoly.zero()
-    num = paired.terms.get(zref, LaurentPoly.zero())
-    c = _ratio(num, z.terms[zref])
+    c = paired.terms.get(zref, LaurentPoly.zero()) * inv
     if not (paired - z.scale(c)).is_zero():
         raise AssertionError("element is not in the expected cell span")
     return c
-
-
-def _divexact(a, b):
-    """Exact division of Laurent polynomials (lex order on exponents)."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    if a.wexp or b.wexp:
-        raise ValueError("divexact expects cleared denominators")
-    rem = dict(a.terms)
-    bl = max(b.terms)
-    blc = b.terms[bl]
-    b_lo = min(b.terms)
-    a_lo = min(a.terms)
-    lo_bound = (a_lo[0] - b_lo[0], a_lo[1] - b_lo[1])
-    quo = {}
-    while rem:
-        al = max(rem)
-        alc = rem[al]
-        key = (al[0] - bl[0], al[1] - bl[1])
-        if alc % blc or key < lo_bound:
-            raise ArithmeticError("inexact division")
-        c = alc // blc
-        quo[key] = c
-        for (x, y), bc in b.terms.items():
-            k2 = (x + key[0], y + key[1])
-            nv = rem.get(k2, 0) - c * bc
-            if nv:
-                rem[k2] = nv
-            elif k2 in rem:
-                del rem[k2]
-    return LaurentPoly(quo)
-
-
-def _ratio(a, b):
-    """Exact quotient a / b in the localized Laurent ring."""
-    anum = LaurentPoly(dict(a.terms))
-    bnum = LaurentPoly(dict(b.terms))
-    if a.wexp >= b.wexp:
-        quo = _divexact(anum, bnum)
-        return LaurentPoly(dict(quo.terms), a.wexp - b.wexp)
-    anum = anum * (LaurentPoly.omega() ** (b.wexp - a.wexp))
-    return _divexact(anum, bnum)
 
 
 def cell_form(elem, lam):

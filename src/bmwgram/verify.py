@@ -51,19 +51,15 @@ def b1_cases():
 def suite_b1_formulas():
     """Closed-form determinant regression for the seven listed cases."""
     out = []
-    grams = {}
     for name, (n, f, lam), sub, expected in b1_cases():
-        key = (n, f, lam)
-        if key not in grams:
-            grams[key] = CM.gram_matrix(CM.CellIndex(n, f, lam))
-        det = CM.gram_det(grams[key].substitute_r(*sub))
+        det = CM.gram_det(_gram(n, f, lam).substitute_r(*sub))
         got = det.normalize_unit()[1]
         want = expected.normalize_unit()[1]
         ok = got == want
         detail = "" if ok else "got %s, expected %s" % (got, want)
         out.append((name, ok, detail))
     for n in (2, 4):
-        g = CM.gram_matrix(CM.CellIndex(n, n // 2, ()))
+        g = _gram(n, n // 2, ())
         for sgn, a in ((1, -1), (-1, 1)):
             det = CM.gram_det(g.substitute_r(sgn, a))
             out.append(("det G_{%d/2,()} vanishes at r=%sq^%d"
@@ -117,12 +113,7 @@ def suite_relations(nmax=5, assoc_samples=1000, seed=20240201):
         ok = not failed
         detail = failed[0] if failed else ""
         out.append(("relations n=%d" % n, ok, detail))
-    for n in range(1, 7):
-        dims = cell_dims(n)
-        total = sum(d * d for d in dims.values())
-        out.append(("dimension identity n=%d" % n,
-                    total == B.basis_size(n),
-                    "%d vs %d" % (total, B.basis_size(n))))
+    out += _dimension_identity("dimension identity n=%d")
     # associativity
     words3 = list(B.all_words(3))
     el3 = {w: B.BmwElem.from_word(3, w) for w in words3}
@@ -146,15 +137,19 @@ def suite_relations(nmax=5, assoc_samples=1000, seed=20240201):
     return out
 
 
-def suite_dims():
+def _dimension_identity(label):
+    """One line per n <= 6, named label % n: the squared cell dimensions
+    add up to the basis size."""
     out = []
     for n in range(1, 7):
-        dims = cell_dims(n)
-        total = sum(d * d for d in dims.values())
-        out.append(("sum of squared cell dimensions n=%d" % n,
-                    total == B.basis_size(n),
+        total = sum(d * d for d in cell_dims(n).values())
+        out.append((label % n, total == B.basis_size(n),
                     "%d vs %d" % (total, B.basis_size(n))))
     return out
+
+
+def suite_dims():
+    return _dimension_identity("sum of squared cell dimensions n=%d")
 
 
 def suite_oracle_agreement(nmax=5, primes=(2, 3, 5, 7, 11, 13)):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -279,3 +280,29 @@ def test_cold_order_products(n, samples):
         cold.append(_product(n, *key))
     for key, res in zip(reversed(keys), reversed(cold)):
         assert _product(n, *key) == res, key
+
+
+# sha256 of all 8,256 word x generator products at n <= 5, recorded before
+# bmw._we lost its sub-algebra lift for the words (f > 0, u, w, 1).
+PRODUCTS_N5_SHA256 = \
+    "0a9f16dc54bede8ff56bfb28aae67f4bb139acbc46eed2f6a991f2db1213438d"
+
+
+def test_cold_products_digest_n5():
+    """Every word x generator product at n <= 5, each computed from empty
+    structure-constant tables, hashes to the recorded digest: no reduction
+    of bmw._we may change a product."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 6):
+        for word in B.all_words(n):
+            for kind in "TE":
+                for i in range(1, n):
+                    B._WT.clear()
+                    B._WE.clear()
+                    res = _product(n, word, kind, i)
+                    digest.update(repr((n, word, kind, i, sorted(
+                        (wd, str(c)) for wd, c in res.items()))).encode())
+                    count += 1
+    assert count == 8256
+    assert digest.hexdigest() == PRODUCTS_N5_SHA256

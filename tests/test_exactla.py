@@ -5,7 +5,6 @@ import pytest
 from bmwgram import exactla
 from bmwgram.coeff import LaurentPoly
 from bmwgram.exactla import PIVOT_PRIME, bareiss_det
-from bmwgram.hecke import _divexact
 
 
 def gf_rank(rows, p):
@@ -153,6 +152,39 @@ def test_packed_pivots_match_reference(p):
             pivots = exactla._residue_pivots(m, p)
             assert pivots == gf_pivots(m, p)
             assert len(pivots[0]) == rank
+
+
+def _divexact(a, b):
+    """Exact division of Laurent polynomials (lex order on exponents)."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    if a.wexp or b.wexp:
+        raise ValueError("divexact expects cleared denominators")
+    rem = dict(a.terms)
+    bl = max(b.terms)
+    blc = b.terms[bl]
+    b_lo = min(b.terms)
+    a_lo = min(a.terms)
+    lo_bound = (a_lo[0] - b_lo[0], a_lo[1] - b_lo[1])
+    quo = {}
+    while rem:
+        al = max(rem)
+        alc = rem[al]
+        key = (al[0] - bl[0], al[1] - bl[1])
+        if alc % blc or key < lo_bound:
+            raise ArithmeticError("inexact division")
+        c = alc // blc
+        quo[key] = c
+        for (x, y), bc in b.terms.items():
+            k2 = (x + key[0], y + key[1])
+            nv = rem.get(k2, 0) - c * bc
+            if nv:
+                rem[k2] = nv
+            elif k2 in rem:
+                del rem[k2]
+    return LaurentPoly(quo)
 
 
 def laurent_bareiss_det(matrix):

@@ -5,15 +5,25 @@ import pytest
 
 from bmwgram.cellmod import CellIndex, gram_matrix, gram_rank
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import (is_e_restricted, num_std_tableaux, partitions,
-                            perm_len, perm_mul, perm_word)
+from bmwgram.combin import (conjugate, is_e_restricted, num_std_tableaux,
+                            partitions, perm_len, perm_mul, perm_word)
 from bmwgram.exactla import bareiss_det
-from bmwgram.hecke import (HeckeElem, cell_coefficient, cell_form,
-                           cell_value, double_coset_min, signed_symmetrizer,
+from bmwgram.hecke import (HeckeElem, _cell_probe, cell_coefficient,
+                           cell_form, cell_value, double_coset_min,
                            times_signed_symmetrizer, x_lambda, young_subgroup)
 
 L = LaurentPoly
 OMEGA = L.omega()
+
+
+def signed_symmetrizer(mu, m):
+    """n_mu = sum over the Young subgroup of (-q)^{-length} g_w, the
+    q-antisymmetrizer: g_i n_mu = -q^{-1} n_mu for row generators of mu."""
+    terms = {}
+    for w in young_subgroup(mu, m):
+        l = perm_len(w)
+        terms[w] = L.monomial((-1) ** (l % 2), -l, 0)
+    return HeckeElem(m, terms)
 
 
 def specht_gram(lam):
@@ -132,6 +142,26 @@ def test_times_signed_symmetrizer_matches_product():
                 elem = HeckeElem(m, {w: rng.choice(coeffs) for w in support})
                 assert times_signed_symmetrizer(elem, mu) == elem * n_el
             assert times_signed_symmetrizer(HeckeElem(m), mu).is_zero()
+
+
+def test_cell_probe_top_coefficient_is_a_unit():
+    """For every lam of m <= 7 the probe z = X_lam g_{d(t_col)} n_{lam'}
+    built in closed form equals the Hecke product, has one distinct term
+    for each pair (a, b) in S_lam x S_{lam'}, and its top coefficient is
+    q^{l(w_lam)} (-q)^{-l(w_lam')}, the inverse of the returned unit."""
+    for m in range(1, 8):
+        for lam in partitions(m):
+            wcol, z, zref, inv = _cell_probe(lam, m)
+            mu = conjugate(lam)
+            assert z == (x_lambda(lam, m).times_basis_word(wcol)
+                         * signed_symmetrizer(mu, m)), lam
+            young, cols = young_subgroup(lam, m), young_subgroup(mu, m)
+            assert len(z.terms) == len(young) * len(cols), lam
+            top_row = max(perm_len(a) for a in young)
+            top_col = max(perm_len(b) for b in cols)
+            assert z.terms[zref] == L.monomial((-1) ** top_col,
+                                               top_row - top_col), lam
+            assert z.terms[zref] * inv == L.one(), lam
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -1,7 +1,8 @@
 """Invariants of the package source, checked on its syntax tree: it imports
 only the standard library and itself, it has no ``assert`` statement
-(``python -O`` strips those, so no check may rest on one), and every
-module-level function or class is used somewhere."""
+(``python -O`` strips those, so no check may rest on one), every
+module-level function or class is used somewhere, and none is used by the
+tests alone unless the package exports it."""
 
 import ast
 import os
@@ -68,16 +69,40 @@ def _used_names(tree):
     return used
 
 
-def test_no_dead_module_level_names():
+def _used_under(dirs):
     used = set()
-    for top in USER_DIRS:
+    for top in dirs:
         for root, _dirs, files in os.walk(os.path.join(REPO_DIR, top)):
             for name in files:
                 if name.endswith(".py"):
                     with open(os.path.join(root, name)) as fh:
                         used |= _used_names(ast.parse(fh.read()))
+    return used
+
+
+def _module_level_names(tree):
+    """Functions, classes and constants bound at the top of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_no_dead_module_level_names():
+    used = _used_under(USER_DIRS)
     dead = [(name, node.name) for name, tree in package_trees()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in used]
     assert not dead
+
+
+def test_no_test_only_names_in_src():
+    """src keeps what the commands and the public API run: a module-level
+    name that only the tests use belongs in the tests.  An import in
+    bmwgram/__init__ is a use, so exported names stay."""
+    used = _used_under(("src", "bench", "tools"))
+    test_only = [(name, top) for name, tree in package_trees()
+                 for top in _module_level_names(tree) if top not in used]
+    assert not test_only
