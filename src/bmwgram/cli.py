@@ -136,23 +136,22 @@ def build_parser():
     return ap
 
 
-def cmd_classify(args):
-    spec = _spec_from_args(args)
-    verdict = CL.classify_bmw(args.n, spec)
+def _emit_verdict(args, verdict):
     _emit(args, verdict.to_json(),
           ["singular: %s" % verdict.singular,
            "clause: %s" % verdict.clause]
           + (["notes: %s" % verdict.notes] if verdict.notes else []))
+
+
+def cmd_classify(args):
+    spec = _spec_from_args(args)
+    _emit_verdict(args, CL.classify_bmw(args.n, spec))
     return 0
 
 
 def cmd_classify_brauer(args):
     p = None if args.p == 0 else args.p
-    verdict = CL.classify_brauer(args.n, args.delta, p)
-    _emit(args, verdict.to_json(),
-          ["singular: %s" % verdict.singular,
-           "clause: %s" % verdict.clause]
-          + (["notes: %s" % verdict.notes] if verdict.notes else []))
+    _emit_verdict(args, CL.classify_brauer(args.n, args.delta, p))
     return 0
 
 

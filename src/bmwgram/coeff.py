@@ -591,8 +591,21 @@ class ParamSpec:
         return self.q0 is not None
 
     def unit_eq_one(self, sign, m):
-        """Decide sign * q^m = 1 (folding signs away in char 2)."""
-        return eval_sign_condition(m, 1 if self.p == 2 else sign, self)
+        """Decide sign * q^m = 1, i.e. q^m = sign (folding signs away in
+        char 2).  Returns True, False or None; None only when the answer
+        depends on the unknown sign of q^e."""
+        if self.p == 2:
+            sign = 1
+        e = self.e
+        if e is None:
+            return sign > 0 and m == 0
+        if m % e != 0:
+            return False
+        if (m // e) % 2 == 0:
+            return sign == 1
+        if self.qe_sign == 0:
+            return None
+        return self.qe_sign == sign
 
     def r_equals(self, sign, a):
         """Decide r = sign * q^a; None if symbolic data cannot tell."""
@@ -637,29 +650,6 @@ class ParamSpec:
         if self.qe_sign:
             parts.append("qe=%+d" % self.qe_sign)
         return " ".join(parts)
-
-
-def eval_sign_condition(m, sign, spec):
-    """Decide q^m = 1 (sign=+1) or q^m = -1 (sign=-1) under the spec.
-
-    Returns True, False or None; None only when the answer depends on the
-    unknown sign of q^e.  In char 2 the target -1 is never reported true
-    (ParamSpec.unit_eq_one folds the sign to +1 first).
-    """
-    e, p = spec.e, spec.p
-    if sign < 0 and p == 2:
-        return False
-    if e is None:
-        if sign > 0:
-            return m == 0
-        return False
-    if m % e != 0:
-        return False
-    if (m // e) % 2 == 0:
-        return sign == 1
-    if spec.qe_sign == 0:
-        return None
-    return spec.qe_sign == sign
 
 
 def either(*answers):

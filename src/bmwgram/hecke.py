@@ -163,22 +163,17 @@ def _cell_probe(lam, m):
     meet trivially (a row and a column share at most one box), so every
     a d(t_col) b with a in S_lam, b in S_{lam'} is a distinct, length-additive
     product (Dipper-James 1986): z = sum q^{l(a)} (-q)^{-l(b)} g_{a d(t_col) b}.
-    Its longest term, a = w_lam and b = w_lam', has the unit coefficient
-    q^{l(w_lam)} (-q)^{-l(w_lam')}; the coefficient is read against it with
-    the inverse unit, no division.
+    Its term at a = b = 1 is g_{d(t_col)} with coefficient 1, so the
+    coefficient is read there, no division.
     """
-    wcol = perm_word(d_of(column_superstandard(lam)))
+    dcol = d_of(column_superstandard(lam))
+    wcol = perm_word(dcol)
     z = times_signed_symmetrizer(x_lambda(lam, m).times_basis_word(wcol),
                                  conjugate(lam))
-    if z.is_zero():
-        raise AssertionError("degenerate cell probe for %r" % (lam,))
-    zref = max(z.terms, key=lambda w: (perm_len(w), w))
-    top = z.terms[zref]
-    (a, b), c = next(iter(top.terms.items()))
-    if len(top.terms) != 1 or top.wexp or b or c not in (1, -1):
-        raise AssertionError("cell probe for %r has top coefficient %s, "
-                             "not a unit +-q^k" % (lam, top))
-    return wcol, z, zref, LaurentPoly.monomial(c, -a)
+    if z.terms.get(dcol) != LaurentPoly.one():
+        raise AssertionError("cell probe for %r has coefficient %s at "
+                             "g_d(t_col), not 1" % (lam, z.terms.get(dcol)))
+    return wcol, z, dcol
 
 
 @lru_cache(maxsize=None)
@@ -232,15 +227,15 @@ def cell_coefficient(elem, lam):
     """Coefficient c with elem = c * X_lam modulo higher cells.
 
     elem must lie in X_lam * H * X_lam + (higher cells).  c is read at the
-    probe's longest term, times the inverse of its unit coefficient (see
-    _cell_probe), and the full proportionality is checked.
+    probe's term g_{d(t_col)}, whose coefficient is 1 (see _cell_probe), and
+    the full proportionality is checked.
     """
-    wcol, z, zref, inv = _cell_probe(lam, elem.m)
+    wcol, z, dcol = _cell_probe(lam, elem.m)
     paired = times_signed_symmetrizer(elem.times_basis_word(wcol),
                                       conjugate(lam))
     if paired.is_zero():
         return LaurentPoly.zero()
-    c = paired.terms.get(zref, LaurentPoly.zero()) * inv
+    c = paired.terms.get(dcol, LaurentPoly.zero())
     if not (paired - z.scale(c)).is_zero():
         raise AssertionError("element is not in the expected cell span")
     return c

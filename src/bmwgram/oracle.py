@@ -11,9 +11,9 @@ q -> -q, r -> -r, since w = q - q^-1 changes sign and delta stays fixed.
 So B_n(q0, r0) and B_n(-q0, -r0) have the same cell-module ranks, and
 agreement_sweep computes one report per orbit {(p, q0, r0), (p, p - q0,
 p - r0)}.  The reuse is exact, not assumed: ord(q0^2) and |D_{f,n}| are
-the same at both points, and every Gram matrix the report read passes
-cellmod.check_sign_certificate, which makes G(-q0, -r0) = S G(q0, r0) S
-with S diagonal of signs, so every rank in the table is the same.
+the same at both points, and every matrix _gram hands out is certified:
+it passed cellmod.check_sign_certificate, so G(-q0, -r0) = S G(q0, r0) S
+with S diagonal of signs, and every rank in the table is the same.
 """
 
 from __future__ import annotations
@@ -57,9 +57,12 @@ _GRAM_CACHE = {}
 
 
 def _gram(n, f, lam):
+    """Gram matrix of cell (n, f, lam), sign-certified before it is cached."""
     key = (n, f, lam)
     if key not in _GRAM_CACHE:
-        _GRAM_CACHE[key] = gram_matrix(CellIndex(n, f, lam))
+        gram = gram_matrix(CellIndex(n, f, lam))
+        check_sign_certificate(gram)
+        _GRAM_CACHE[key] = gram
     return _GRAM_CACHE[key]
 
 
@@ -133,14 +136,12 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
     classifier verdict), disagreements are (n, spec, oracle report,
     classifier verdict).  The oracle runs once per orbit (module
     docstring): its report serves the partner (p, p - q0, p - r0), later
-    in the same prime, with the partner's spec, once every Gram matrix it
-    read has passed the sign certificate (checked once per cell).
+    in the same prime, with the partner's spec.
     """
     from .classify import classify_bmw
     rows = []
     disagreements = []
     specs = sweep_specs(primes)
-    certified = set()
     partners = {}
     for n in ns:
         for spec in specs:
@@ -148,13 +149,6 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
             rep = partners.pop((p, spec.q0, spec.r0), None)
             if rep is None:
                 rep = singular_oracle(n, spec)
-                read = [(n, f, lam) for f, lam, _a, _b in rep.table]
-                read += [(n - 2 * f, 0, lam)
-                         for f, lam, _a, _b in rep.table if lam]
-                for cell in read:
-                    if cell not in certified:
-                        check_sign_certificate(_gram(*cell))
-                        certified.add(cell)
                 partners[(p, p - spec.q0, p - spec.r0)] = rep
             else:
                 rep = replace(rep, spec=spec)

@@ -18,7 +18,7 @@ import pytest
 from bmwgram import cellmod as CM
 from bmwgram import classify as CL
 from bmwgram import verify as V
-from bmwgram.oracle import agreement_sweep, _gram
+from bmwgram.oracle import _gram
 
 
 def report(name, ok):
@@ -55,16 +55,12 @@ def test_criterion_2_top_cell_vanishing():
 
 def test_criterion_3_algebra_soundness():
     assert_suite("criterion 3 (relations, dimension count, associativity)",
-                 V.suite_relations(nmax=5, assoc_samples=1000))
+                 V.suite_relations(nmax=5))
 
 
 def test_criterion_4_oracle_agreement():
-    rows, disagreements = agreement_sweep(ns=(2, 3, 4, 5),
-                                          primes=(2, 3, 5, 7, 11, 13))
-    ok = not disagreements
-    report("criterion 4 (oracle/classifier agreement, %d regimes)"
-           % len(rows), ok)
-    assert ok, disagreements[:5]
+    assert_suite("criterion 4 (oracle/classifier agreement, n <= 5)",
+                 V.suite_oracle_agreement())
 
 
 def test_criterion_5_inflation_consistency():

@@ -303,10 +303,9 @@ def test_degree_budgets(capsys, argv):
     assert lines[0].startswith("error: ")
 
 
-def test_sweep_refuses_gram_without_sign_certificate(capsys, monkeypatch):
-    """Gram matrices scaled by q keep every rank, so the oracle runs as
-    before, but fail the sign certificate that lets a sweep reuse a report
-    at (p, p - q0, p - r0): one error line and exit 1."""
+def _refuses_q_scaled_grams(capsys, monkeypatch, argv):
+    """Run argv with every Gram matrix scaled by q, which keeps every rank
+    but fails the sign certificate: one error line naming it and exit 1."""
     from bmwgram import cellmod as CM, oracle as OR
     from bmwgram.coeff import LaurentPoly
 
@@ -318,13 +317,27 @@ def test_sweep_refuses_gram_without_sign_certificate(capsys, monkeypatch):
 
     monkeypatch.setattr(OR, "_GRAM_CACHE", {})
     monkeypatch.setattr(OR, "gram_matrix", scaled)
-    rc = main(["sweep", "--nmax", "3"])
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "fails the sign certificate" in lines[0]
     assert lines[0].startswith("error: ")
+
+
+def test_sweep_refuses_gram_without_sign_certificate(capsys, monkeypatch):
+    """The certificate is what lets a sweep reuse a report at
+    (p, p - q0, p - r0)."""
+    _refuses_q_scaled_grams(capsys, monkeypatch, ["sweep", "--nmax", "3"])
+
+
+def test_oracle_refuses_gram_without_sign_certificate(capsys, monkeypatch):
+    """Every matrix oracle._gram hands out is certified, so a single
+    oracle call prints no verdict either."""
+    _refuses_q_scaled_grams(capsys, monkeypatch,
+                            ["oracle", "--n", "4", "--p", "7", "--q0", "2",
+                             "--r0", "4"])
 
 
 def test_cache_subcommand_is_gone():

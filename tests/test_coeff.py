@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bmwgram.coeff import (CONCRETE_MAX_P, GENERIC, PRIME_LIMIT, LaurentPoly,
-                           ParamSpec, either, eval_sign_condition, is_prime,
+                           ParamSpec, either, is_prime,
                            parse_poly)
 from bmwgram.exactla import PIVOT_PRIME
 from bmwgram.oracle import sweep_specs
@@ -166,14 +166,18 @@ def test_parse_render_roundtrip():
 
 
 def test_eval_sign_condition():
-    assert eval_sign_condition(4, -1, ParamSpec.symbolic(e=4)) is True
-    assert eval_sign_condition(4, -1, ParamSpec.symbolic(e=12)) is False
-    assert eval_sign_condition(4, -1, ParamSpec.symbolic(e=2, p=2)) is False
-    assert eval_sign_condition(4, 1, ParamSpec.symbolic(e=2, p=2)) is True
+    # unit_eq_one(sign, m) decides q^m = sign
+    assert ParamSpec.symbolic(e=4).unit_eq_one(-1, 4) is True
+    assert ParamSpec.symbolic(e=12).unit_eq_one(-1, 4) is False
+    # -1 = 1 in characteristic 2, so q^4 = -1 holds with q^4 = 1
+    assert ParamSpec.symbolic(e=2, p=2).unit_eq_one(-1, 4) is True
+    assert ParamSpec.symbolic(e=2, p=2).unit_eq_one(1, 4) is True
+    assert ParamSpec.symbolic(e=None).unit_eq_one(1, 0) is True
+    assert ParamSpec.symbolic(e=None).unit_eq_one(-1, 0) is False
     # unknown only when the answer depends on the sign of q^e
     s = ParamSpec.symbolic(e=3)
-    assert eval_sign_condition(3, -1, s) is None
-    assert eval_sign_condition(6, 1, s) is True
+    assert s.unit_eq_one(-1, 3) is None
+    assert s.unit_eq_one(1, 6) is True
 
 
 # The GF(p) answers a concrete spec (p, q0, r0) gave before it carried its
@@ -213,7 +217,7 @@ def test_eval_sign_condition_matches_concrete():
             sym = ParamSpec.symbolic(e=e, p=p, qe=qe)
             for m in range(-3 * e, 3 * e + 1):
                 for sign in (1, -1):
-                    got = eval_sign_condition(m, sign, sym)
+                    got = sym.unit_eq_one(sign, m)
                     assert got == gf_is(p, pow(q0, m, p), sign), \
                         (p, q0, m, sign)
 
@@ -251,9 +255,7 @@ def test_concrete_predicates_match_gf():
         for m in range(-3 * e, 3 * e + 1):
             for sign in (1, -1):
                 want = gf_is(p, pow(q0, m, p), sign)
-                assert eval_sign_condition(m, sign, spec) == want, \
-                    (str(spec), m, sign)
-                assert spec.unit_eq_one(sign, m) == want
+                assert spec.unit_eq_one(sign, m) == want, (str(spec), m, sign)
                 assert spec.r_equals(sign, m) == \
                     gf_is(p, sign * pow(q0, m, p) - r0, 0), (str(spec), m)
 
@@ -296,8 +298,7 @@ def test_char_2_folds_signs():
     assert s.reduced_r_exponent() == (1, 1)
     for a in range(-6, 7):
         assert s.r_equals(-1, a) is s.r_equals(1, a) is (a % 3 == 1)
-        assert s.unit_eq_one(-1, a) is (a % 3 == 0)
-        assert eval_sign_condition(a, -1, s) is False
+        assert s.unit_eq_one(-1, a) is s.unit_eq_one(1, a) is (a % 3 == 0)
 
 
 def test_reduced_r_exponent():

@@ -144,24 +144,21 @@ def test_times_signed_symmetrizer_matches_product():
             assert times_signed_symmetrizer(HeckeElem(m), mu).is_zero()
 
 
-def test_cell_probe_top_coefficient_is_a_unit():
+def test_cell_probe_coefficient_is_one_at_dcol():
     """For every lam of m <= 7 the probe z = X_lam g_{d(t_col)} n_{lam'}
     built in closed form equals the Hecke product, has one distinct term
-    for each pair (a, b) in S_lam x S_{lam'}, and its top coefficient is
-    q^{l(w_lam)} (-q)^{-l(w_lam')}, the inverse of the returned unit."""
+    for each pair (a, b) in S_lam x S_{lam'}, and its term at a = b = 1,
+    g_{d(t_col)}, has coefficient 1."""
     for m in range(1, 8):
         for lam in partitions(m):
-            wcol, z, zref, inv = _cell_probe(lam, m)
+            wcol, z, dcol = _cell_probe(lam, m)
             mu = conjugate(lam)
             assert z == (x_lambda(lam, m).times_basis_word(wcol)
                          * signed_symmetrizer(mu, m)), lam
             young, cols = young_subgroup(lam, m), young_subgroup(mu, m)
             assert len(z.terms) == len(young) * len(cols), lam
-            top_row = max(perm_len(a) for a in young)
-            top_col = max(perm_len(b) for b in cols)
-            assert z.terms[zref] == L.monomial((-1) ** top_col,
-                                               top_row - top_col), lam
-            assert z.terms[zref] * inv == L.one(), lam
+            assert perm_word(dcol) == wcol, lam
+            assert z.terms[dcol] == L.one(), lam
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
