@@ -29,8 +29,8 @@ from . import bmw as _bmw
 # so callers get a ValueError up front instead of a hang.
 SYMBOLIC_DET_LIMIT = 64   # largest Gram matrix given a symbolic determinant:
                           # the 45-dimensional n = 6 cells already take up
-                          # to 90 s (2-vCPU VM, CPython 3.11), and n = 7
-                          # cells reach dimension 210
+                          # to 41 s at r = q^-1 and -q (2-vCPU VM, CPython
+                          # 3.11), and n = 7 cells reach dimension 210
 SUBST_MAX_EXP = 100       # largest |a| of gram --subst r=±q^a, refused
                           # before the Gram matrix is built: gram --det
                           # takes 0.19, 0.31 and 1.7 s at a = 100, 1,000

@@ -19,11 +19,14 @@ def bareiss_det(matrix):
     Kronecker substitution and one exact integer determinant
     (``_int_det``).
 
-    The entries are brought over their common denominator w^k, and each
-    row is shifted by its lowest exponents of q and of r; the determinant
-    changes by the product of those monomials and w^{-kn}.  Every minor of
-    the shifted matrix, the determinant among them, is then a polynomial
-    of q-degree at most S, the sum of the rows' q-spans.
+    The entries are brought over their common denominator w^k.  Each row is
+    shifted by its lowest exponents of q and of r, and then each column by
+    its lowest remaining ones; the determinant changes by the product of
+    those monomials and w^{-kn}, and a zero row or column makes it 0.  Every
+    shifted entry has nonnegative exponents, and those of row i have
+    q-degree at most the row's q-span s_i, so every minor of the shifted
+    matrix, the determinant among them, is a polynomial of q-degree at most
+    S = sum_i s_i.
 
     Bound: on the torus |q| = |r| = 1 an entry is at most the sum
     |a_ij|_1 of its absolute coefficients, so Hadamard's inequality bounds
@@ -41,31 +44,45 @@ def bareiss_det(matrix):
     polynomial one is.  A zero is proved by an integer kernel vector,
     every other value by Bareiss: the result is exact and deterministic,
     and the prime of the rank pre-pass decides only which proof runs.
+
+    A symmetric matrix stays symmetric up to powers of 2 after the shifts:
+    the substituted A has A[j][i] = A[i][j] 2^(e_i - e_j), with e_i the
+    power of 2 that row i's shift divides out less the one that column i's
+    shift divides out.  ``_int_det`` is then given e and eliminates only
+    the upper triangle.
     """
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
     k = max(e.wexp for row in matrix for e in row)
     rows = [[e._scaled_numerator(k - e.wexp) for e in row] for row in matrix]
-    lows = []
+    lows = [_lowest([key for terms in row for key in terms]) for row in rows]
+    if None in lows:
+        return LaurentPoly.zero()
+    clows = [_lowest([(a - qlo, b - rlo)
+                      for terms, (qlo, rlo) in zip(col, lows)
+                      for a, b in terms])
+             for col in zip(*rows)]
+    if None in clows:
+        return LaurentPoly.zero()
     span = 0
     norm2 = 1
-    for row in rows:
-        keys = [key for terms in row for key in terms]
-        if not keys:
-            return LaurentPoly.zero()
-        qlo = min(a for a, _b in keys)
-        lows.append((qlo, min(b for _a, b in keys)))
-        span += max(a for a, _b in keys) - qlo
+    for row, (qlo, _rlo) in zip(rows, lows):
+        span += max(a - qlo - cq for terms, (cq, _cr) in zip(row, clows)
+                    for a, _b in terms)
         norm2 *= sum(sum(map(abs, terms.values())) ** 2 for terms in row)
     width = (isqrt(norm2 - 1) + 1).bit_length() + 1
     stride = width * (span + 1)
-    det = _int_det([[sum(c << width * (a - qlo) + stride * (b - rlo)
+    twist = None
+    if all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i)):
+        twist = [width * (qlo - cq) + stride * (rlo - cr)
+                 for (qlo, rlo), (cq, cr) in zip(lows, clows)]
+    det = _int_det([[sum(c << width * (a - qlo - cq) + stride * (b - rlo - cr)
                          for (a, b), c in terms.items())
-                     for terms in row]
-                    for row, (qlo, rlo) in zip(rows, lows)])
-    qshift = sum(a for a, _b in lows)
-    rshift = sum(b for _a, b in lows)
+                     for terms, (cq, cr) in zip(row, clows)]
+                    for row, (qlo, rlo) in zip(rows, lows)], twist)
+    qshift = sum(a for a, _b in lows + clows)
+    rshift = sum(b for _a, b in lows + clows)
     mask = (1 << width) - 1
     half = 1 << width - 1
     out = {}
@@ -82,6 +99,14 @@ def bareiss_det(matrix):
     return LaurentPoly(out, k * n)
 
 
+def _lowest(keys):
+    """The lowest a and the lowest b over the exponent pairs (a, b) in the
+    list ``keys``; None when it is empty."""
+    if not keys:
+        return None
+    return min(a for a, _b in keys), min(b for _a, b in keys)
+
+
 # The prime of _int_det's rank pre-pass.  2 has order (P - 1)/2 modulo P,
 # so the substituted q -> 2^width is no root of unity of small order there;
 # modulo the Mersenne prime 2^61 - 1, 2 has order 61, and factors such as
@@ -89,34 +114,42 @@ def bareiss_det(matrix):
 PIVOT_PRIME = (1 << 62) - 57
 
 
-def _int_det(m):
+def _int_det(m, twist=None):
     """Determinant of a square integer matrix m; m is overwritten.
 
     A forward elimination over GF(PIVOT_PRIME) (``_residue_pivots``) first
     picks pivot rows R and columns C, so m[R, C] is nonsingular modulo the
     prime and hence over Z.
-    When the rank modulo the prime falls short, one column outside C gives
-    a candidate kernel vector v (``_kernel_certifies_zero``); if m v = 0
-    holds exactly, the determinant is 0.  Otherwise, and whenever the rank
-    is full, Bareiss' elimination computes it.  The prime decides only how
+    When the rank modulo the prime falls short, the first column outside C
+    gives a candidate kernel vector v (``_kernel_certifies_zero``); if
+    m v = 0 holds exactly, the determinant is 0.  Otherwise, and whenever
+    the rank is full, Bareiss' elimination computes it: ``_bareiss``, or
+    ``_symmetric_bareiss`` when ``twist`` is given, which must then satisfy
+    m[j][i] = m[i][j] 2^(twist[i] - twist[j]) and is overwritten too.  The prime decides only how
     fast the answer comes, never what it is: 0 is returned only for a
-    verified nonzero kernel vector."""
+    verified nonzero kernel vector or by an exact elimination."""
     n = len(m)
     rows, cols = _residue_pivots(m, PIVOT_PRIME)
     if len(rows) < n and _kernel_certifies_zero(m, rows, cols):
         return 0
-    return _bareiss(m, n)
+    if twist is None:
+        return _bareiss(m, n)
+    return _symmetric_bareiss(m, twist)
 
 
-def _bareiss(m, ncols):
+def _bareiss(m, ncols, prev=1):
     """Bareiss' fraction-free forward elimination of the k rows of m, in
     place: pivots in the first k columns, and each pivot updates the
     columns right of it up to ``ncols``.  Returns the determinant of the
     leading k x k block, 0 once one of its columns has no pivot left.  Each
-    division is exact, and a nonzero remainder raises ArithmeticError."""
+    division is exact, and a nonzero remainder raises ArithmeticError.
+
+    ``prev`` is the divisor of the first step: 1 for a whole matrix, and
+    the last pivot when m holds the remaining rows of an elimination begun
+    elsewhere (``_symmetric_bareiss``), whose determinant is then the
+    result."""
     k = len(m)
     sign = 1
-    prev = 1
     for col in range(k):
         for piv in range(col, k):
             if m[piv][col]:
@@ -139,31 +172,93 @@ def _bareiss(m, ncols):
     return sign * prev
 
 
+def _symmetric_bareiss(m, twist):
+    """Bareiss' elimination of a square integer matrix m with
+    m[j][i] = m[i][j] 2^(twist[i] - twist[j]); returns its determinant and
+    overwrites m and twist.
+
+    Every stage of Bareiss' elimination holds minors bordered by the
+    pivots, and with diagonal pivots those minors keep the relation, so
+    only entries on or above the diagonal are updated, and the entry below
+    the pivot in row i is read as m[k][i] shifted by twist[k] - twist[i].
+    A zero pivot is swapped, row and column together, with the first
+    nonzero diagonal entry after it, which keeps the determinant and the
+    relation (``_swap_in_pivot``); when no diagonal entry is left nonzero,
+    ``_bareiss`` finishes the elimination."""
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        if not m[k][k] and not _swap_in_pivot(m, twist, k):
+            return _bareiss([row[k:] for row in m[k:]], n - k, prev)
+        top = m[k]
+        pv = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            c = _shifted(top[i], twist[k] - twist[i])
+            for j in range(i, n):
+                quo, rem = divmod(row[j] * pv - c * top[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact division")
+                row[j] = quo
+        prev = pv
+    return prev
+
+
+def _swap_in_pivot(m, twist, k):
+    """Fill in the entries of m below the diagonal from row and column k
+    on, from those above it and ``twist``; then swap row and column k with
+    those of the first later index whose diagonal entry is nonzero, and the
+    two twists with them.  Returns False, having swapped nothing, when no
+    such index exists."""
+    n = len(m)
+    for i in range(k + 1, n):
+        for j in range(k, i):
+            m[i][j] = _shifted(m[j][i], twist[j] - twist[i])
+    piv = next((i for i in range(k + 1, n) if m[i][i]), None)
+    if piv is None:
+        return False
+    m[k], m[piv] = m[piv], m[k]
+    for row in m[k:]:
+        row[k], row[piv] = row[piv], row[k]
+    twist[k], twist[piv] = twist[piv], twist[k]
+    return True
+
+
+def _shifted(x, s):
+    """x 2^s for an integer s of either sign; raises ArithmeticError if
+    2^-s does not divide x."""
+    if s >= 0:
+        return x << s
+    if x & ((1 << -s) - 1):
+        raise ArithmeticError("inexact division")
+    return x >> -s
+
+
 def _kernel_certifies_zero(m, rows, cols):
     """Whether a nonzero v with m v = 0 over Z comes out of the first column
-    c outside ``cols``, given that m[rows, cols] is nonsingular.
+    c outside ``cols``, given ``_residue_pivots``' pivot rows and columns
+    of m.
 
-    With d = det m[rows, cols], Cramer's rule makes the solution x of
-    m[rows, cols] x = d m[rows, c] integral: fraction-free elimination of
-    the augmented rows and exact back-substitution find it.  Then
-    v = (x on cols, -d at c) is nonzero and m[rows] v = 0; it is a kernel
-    vector of m exactly when the rows outside ``rows`` vanish on it too,
-    which one product with every row decides."""
-    c = next(j for j in range(len(m[0])) if j not in cols)
-    rank = len(cols)
-    aug = [[m[i][j] for j in cols] + [m[i][c]] for i in rows]
-    d = _bareiss(aug, rank + 1)
-    x = [0] * rank
-    for i in reversed(range(rank)):
+    That elimination runs column by column, so the columns left of c are
+    the first c pivot columns, and c is dependent on them modulo the
+    prime; with R = rows[:c], m[R, :c] is nonsingular.  With d its
+    determinant, Cramer's rule makes the solution x of m[R, :c] x =
+    d m[R, c] integral: fraction-free elimination of m[R, :c + 1] and exact
+    back-substitution find it.  Then v = (x, -d, 0, ..., 0) is nonzero and
+    m[R] v = 0; it is a kernel vector of m exactly when the other rows
+    vanish on it too, which one product with every row decides."""
+    c = next((j for j, col in enumerate(cols) if j != col), len(cols))
+    aug = [m[i][:c + 1] for i in rows[:c]]
+    d = _bareiss(aug, c + 1)
+    x = [0] * c
+    for i in reversed(range(c)):
         row = aug[i]
-        acc = d * row[rank] - sum(row[j] * x[j] for j in range(i + 1, rank))
+        acc = d * row[c] - sum(row[j] * x[j] for j in range(i + 1, c))
         x[i], rem = divmod(acc, row[i])
         if rem:
             raise ArithmeticError("inexact division")
-    support = cols + [c]
     x.append(-d)
-    return not any(sum(row[j] * xj for j, xj in zip(support, x))
-                   for row in m)
+    return not any(sum(map(mul, row, x)) for row in m)
 
 
 def _field_size(terms, pivots, p):

@@ -2,7 +2,7 @@
 `gram --output json --subst r=... --det` stdout at r = q^-1 and r = -q,
 recorded while determinants were still computed by fraction-free
 elimination over the Laurent ring (27 cells: 1, 3, 4, 8 and 11 per
-degree), and two 45-dimensional n = 6 determinants that vanish."""
+degree), and four 45-dimensional n = 6 determinants that vanish."""
 
 import contextlib
 import hashlib
@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from bmwgram import exactla
 from bmwgram.cli import main
 
 DET_JSON_SHA256 = {
@@ -88,9 +89,12 @@ def test_det_json_matches_fixture(n):
     assert not wrong
 
 
-@pytest.mark.parametrize("f, lam, r", [(2, "(1,1)", "-q"), (2, "(2)", "q^-1")])
+@pytest.mark.parametrize("f, lam, r", [(2, "(1,1)", "-q"), (2, "(2)", "q^-1"),
+                                      (1, "(3,1)", "q^-1"),
+                                      (1, "(2,1,1)", "-q")])
 def test_n6_zero_determinants(f, lam, r):
-    """Rank 15 of 45: a kernel vector certifies the zero."""
+    """Rank 15 (f = 2) or 30 (f = 1) of 45: a kernel vector certifies the
+    zero."""
     argv = ["gram", "--n", "6", "--f", str(f), "--lambda", lam,
             "--subst", "r=" + r, "--det"]
     for fmt, want in (([], "det = 0\n"), (["--output", "json"],
@@ -99,3 +103,24 @@ def test_n6_zero_determinants(f, lam, r):
         with contextlib.redirect_stdout(out):
             assert main(fmt + argv) == 0
         assert out.getvalue() == want
+
+
+def test_zero_certified_on_pivot_prefix(monkeypatch):
+    """The kernel vector of (6,2,(1,1)) at r = -q is solved for on the 7
+    pivot columns left of the first free column: one 7 x 8 elimination,
+    where all 15 pivot columns would make it 15 x 16, and no Bareiss
+    after it."""
+    systems = []
+    bareiss = exactla._bareiss
+
+    def recorded(m, ncols, *rest):
+        systems.append((len(m), ncols))
+        return bareiss(m, ncols, *rest)
+
+    monkeypatch.setattr(exactla, "_bareiss", recorded)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gram", "--n", "6", "--f", "2", "--lambda", "(1,1)",
+                     "--subst", "r=-q", "--det"]) == 0
+    assert out.getvalue() == "det = 0\n"
+    assert systems == [(7, 8)]

@@ -275,6 +275,14 @@ def test_bareiss_det_zero_row_and_rank_deficient(n):
         assert _check_against_reference(m).is_zero()
         if n < 2:
             continue
+        # a zero column and no zero row
+        m = _random_matrix(rng, n, 2, 2 ** 40, 1)
+        col = rng.randrange(n)
+        for i, row in enumerate(m):
+            row[col] = LaurentPoly.zero()
+            j = (col + 1 + i % (n - 1)) % n
+            row[j] = row[j] or LaurentPoly.one()
+        assert _check_against_reference(m).is_zero()
         # the last row a combination of the others over the ring, so of
         # rank at most n - 1
         m = _random_matrix(rng, n, 2, 9, 2)
@@ -312,7 +320,8 @@ def test_bareiss_det_diagonal():
 def test_bareiss_det_reaches_q_degree_bound():
     """Triangular matrices whose diagonal entries span their rows: the
     determinant's q-degree is the sum S of the row q-spans, and its
-    r-terms sit one digit past q^S."""
+    r-terms sit one digit past q^S.  Their transposes, whose diagonal
+    entries span their columns, reach the same degree."""
     q, r, one = LaurentPoly.q, LaurentPoly.r, LaurentPoly.one()
     m = [[one + q(), LaurentPoly.zero()], [LaurentPoly.zero(), one + r()]]
     assert bareiss_det(m) == (one + q()) * (one + r())
@@ -333,8 +342,27 @@ def test_bareiss_det_reaches_q_degree_bound():
                              (s, 1): -(2 ** 40)}
                 row.append(LaurentPoly(terms))
             m.append(row)
-        det = _check_against_reference(m)
-        assert max(a for a, _b in det.terms) == sum(spans)
+        for matrix in (m, [list(col) for col in zip(*m)]):
+            det = _check_against_reference(matrix)
+            assert max(a for a, _b in det.terms) == sum(spans)
+
+
+def test_bareiss_det_column_monomials():
+    """Columns scaled by monomials q^a r^b of either sign, which the column
+    shifts take out again: the determinant gains their product."""
+    rng = random.Random(9200)
+    for n in range(1, 6):
+        for wmax in (0, 2):
+            m = _random_matrix(rng, n, 2, 2 ** 20, wmax)
+            scale = [LaurentPoly({(rng.randint(-30, 30),
+                                   rng.randint(-3, 3)): 1})
+                     for _ in range(n)]
+            scaled = [[e * s for e, s in zip(row, scale)] for row in m]
+            det = _check_against_reference(scaled)
+            want = bareiss_det(m)
+            for s in scale:
+                want = want * s
+            assert det == want
 
 
 def _low_rank(a, b, n, zero=0):
@@ -406,3 +434,89 @@ def test_kernel_vector_of_integer_low_rank(size):
         assert len(rows) == len(cols) == rank
         assert exactla._kernel_certifies_zero(m, rows, cols)
         assert exactla._int_det(m) == 0
+
+
+def _random_symmetric(rng, n, nterms, height, wmax):
+    m = _random_matrix(rng, n, nterms, height, wmax)
+    for i in range(n):
+        for j in range(i):
+            m[i][j] = m[j][i]
+    return m
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """Counts the calls of the symmetric elimination, its pivot swaps that
+    found a pivot, and the ``_bareiss`` calls that finish a symmetric
+    elimination."""
+    calls = {"symmetric": 0, "swap": 0, "hand-over": 0}
+    inside = []
+    sym, swap, bareiss = (exactla._symmetric_bareiss,
+                          exactla._swap_in_pivot, exactla._bareiss)
+
+    def counted_sym(*args):
+        calls["symmetric"] += 1
+        inside.append(True)
+        try:
+            return sym(*args)
+        finally:
+            inside.pop()
+
+    def counted_swap(*args):
+        found = swap(*args)
+        calls["swap"] += found
+        return found
+
+    def counted_bareiss(*args):
+        calls["hand-over"] += bool(inside)
+        return bareiss(*args)
+
+    monkeypatch.setattr(exactla, "_symmetric_bareiss", counted_sym)
+    monkeypatch.setattr(exactla, "_swap_in_pivot", counted_swap)
+    monkeypatch.setattr(exactla, "_bareiss", counted_bareiss)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_matches_reference(n, elimination_calls):
+    """Symmetric matrices with w-denominators and r-terms take the
+    symmetric elimination, and agree with the reference."""
+    rng = random.Random(9800 + n)
+    nonzero = 0
+    for nterms, height, wmax in RANDOM_CASES[n]:
+        m = _random_symmetric(rng, n, nterms, height, wmax)
+        nonzero += not _check_against_reference(m).is_zero()
+    assert nonzero and elimination_calls["symmetric"] >= nonzero
+
+
+def test_symmetric_zero_pivot_swaps(elimination_calls):
+    """A zero first diagonal entry is swapped for a later one, row and
+    column together."""
+    rng = random.Random(9900)
+    for n in (2, 3, 5):
+        m = _random_symmetric(rng, n, 2, 9, 2)
+        for i in range(n):
+            m[i][i] = m[i][i] or LaurentPoly.one()
+        m[0][0] = LaurentPoly.zero()
+        assert not _check_against_reference(m).is_zero()
+    assert elimination_calls == {"symmetric": 3, "swap": 3, "hand-over": 0}
+
+
+def test_symmetric_zero_diagonal_hands_over(elimination_calls):
+    """An [[0, a], [a, 0]] block leaves an all-zero diagonal, alone or after
+    two pivots of a block-diagonal matrix: ``_bareiss`` finishes from the
+    last pivot."""
+    q, r, one, zero = (LaurentPoly.q, LaurentPoly.r, LaurentPoly.one(),
+                       LaurentPoly.zero())
+    a = LaurentPoly({(1, 0): 3, (-2, 1): -5}, 1)
+    pair = [[zero, a], [a, zero]]
+    assert _check_against_reference(pair) == -(a * a)
+    rng = random.Random(9950)
+    head = _random_symmetric(rng, 2, 2, 9, 1)
+    head[0][0] = head[0][0] or one + q()
+    head[1][1] = head[1][1] or one + r()
+    block = [row + [zero, zero] for row in head]
+    block += [[zero, zero] + row for row in pair]
+    det = _check_against_reference(block)
+    assert det == laurent_bareiss_det(head) * -(a * a) and not det.is_zero()
+    assert elimination_calls == {"symmetric": 2, "swap": 0, "hand-over": 2}

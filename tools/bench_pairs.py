@@ -28,6 +28,10 @@ side, so a gain confined to one call shows where it sits.  Quartiles are
 ``<workload> seed=<S> trace=<T>``; an existing file keeps the entries this
 call does not rerun.  Exits 1 if a run fails to produce a result or reports
 a failed operation.
+
+Its last stdout lines give, for every workload run and every end-to-end
+metric of BENCHMARK.json, the parent and change medians, the parent's IQR
+and the pairs the change won.
 """
 
 import argparse
@@ -68,10 +72,13 @@ def run_bench(checkout, workload, seed, trace):
 
 
 def directions(checkout):
+    """The better direction of every metric, and the end-to-end metrics'
+    names in BENCHMARK.json's order."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"]
+             for m in spec["end_to_end"] + spec["per_layer"]},
+            [m["name"] for m in spec["end_to_end"]])
 
 
 def summary(values):
@@ -127,7 +134,7 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     out_path = args.out or "BENCH_%s.json" % args.tag
-    better = directions(args.change)
+    better, end_to_end = directions(args.change)
     report = {"tag": args.tag, "workloads": {}}
     if os.path.exists(out_path):
         with open(out_path) as fh:
@@ -161,7 +168,23 @@ def main(argv=None):
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
     print("wrote %s" % out_path)
+    for workload in args.workload:
+        key = "%s seed=%d trace=%d" % (workload, args.seed, args.trace)
+        metrics = report["workloads"][key]["metrics"]
+        for name in end_to_end:
+            if name in metrics:
+                print(summary_line(key, name, metrics[name]))
     return status
+
+
+def summary_line(key, name, m):
+    """One workload's end-to-end metric: the two medians, the parent's
+    IQR and the pairs the change won, the figures a claimed gain is read
+    from."""
+    return ("%s %s: parent median %.4g, change median %.4g, parent IQR "
+            "%.4g, change won %d/%d pairs (%s is better)"
+            % (key, name, m["parent"]["median"], m["change"]["median"],
+               m["parent"]["iqr"], m["pairs_won"], m["pairs"], m["better"]))
 
 
 if __name__ == "__main__":
