@@ -97,16 +97,6 @@ class GramMatrix:
             "entries": [[str(e) for e in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        from .coeff import parse_poly
-        cell = CellIndex(data["cell"]["n"], data["cell"]["f"],
-                         tuple(data["cell"]["lambda"]))
-        labels = [(tuple(tuple(row) for row in t), tuple(v))
-                  for t, v in data["labels"]]
-        entries = [[parse_poly(s) for s in row] for row in data["entries"]]
-        return cls(cell, labels, entries)
-
 
 def cell_labels(cell):
     tabs = std_tableaux(cell.lam)

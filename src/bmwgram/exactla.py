@@ -264,8 +264,9 @@ def _kernel_certifies_zero(m, rows, cols):
 def _field_size(terms, pivots, p):
     """Bytes per field of packed rows over GF(p) whose fields start at
     most terms (p-1)^2 and meet at most ``pivots`` pivots, each adding at
-    most (p-1)^2 to a field (``_packed_rank``)."""
-    return (((terms + pivots) * (p - 1) ** 2).bit_length() + 7) // 8
+    most (p-1)^2: 2k + 2 bits, k the bit length of (terms + pivots)(p-1)^2,
+    the room of ``_packed_rank``'s Barrett reduction."""
+    return (2 * ((terms + pivots) * (p - 1) ** 2).bit_length() + 9) // 8
 
 
 def _residue_pivots(rows, p):
@@ -415,10 +416,10 @@ def plan_rank(plan, p, q0, r0):
 
 def _packed_rank(rest, ncols, width, p):
     """Pivot rows and columns of a forward elimination over GF(p) of rows
-    packed ``width`` bits per column, with nonnegative fields: the rows
-    by their places in the list ``rest``, which is used up, and the
-    columns, both in pivot order.  The submatrix on them is nonsingular
-    modulo p, and their number is the rank modulo p.
+    packed ``width`` bits per column, with nonnegative fields below
+    2^((width-2)//2): the rows by their places in the list ``rest``,
+    which is used up, and the columns, both in pivot order.  The submatrix
+    on them is nonsingular modulo p, and their number is the rank modulo p.
 
     The pivot is the first remaining row nonzero mod p in the column.  It
     clears its column only in the rows not yet used as pivots, is never
@@ -426,9 +427,16 @@ def _packed_rank(rest, ncols, width, p):
     multiply-add updates a whole row and a shift drops the finished
     column.  Only pivot rows are reduced mod p; every other field grows by
     at most (p-1)^2 per pivot, and the caller's ``width`` leaves room for
-    that (``_field_size``), so no field carries into the next.
+    that (``_field_size``), so no field carries into the next.  A pivot
+    row is reduced in bulk by Barrett's reduction (CRYPTO '86): with
+    k = (width-2)//2, s = k + bits(p) and m = floor(2^s/p) + 1,
+    floor(f m / 2^s) = floor(f/p) for every field f < 2^k, and f m <
+    2^width, so a product by m, a shift and a mask give every quotient.
     """
     mask = (1 << width) - 1
+    shift = (width - 2) // 2 + p.bit_length()
+    magic = (1 << shift) // p + 1
+    quot = ((1 << width - shift) - 1) * (((1 << width * ncols) - 1) // mask)
     index = list(range(len(rest)))
     rows, cols = [], []
     for col in range(ncols):
@@ -442,12 +450,8 @@ def _packed_rank(rest, ncols, width, p):
         rows.append(index.pop(i))
         cols.append(col)
         neg_inv = -pow(piv & mask, -1, p)
-        tail = shift = 0
         piv >>= width
-        while piv:
-            tail |= (piv & mask) % p << shift
-            piv >>= width
-            shift += width
+        tail = piv - p * ((piv * magic >> shift) & quot)
         rest = [(row >> width) + (row & mask) * neg_inv % p * tail
                 for row in rest]
         if not rest:

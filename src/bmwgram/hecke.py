@@ -54,12 +54,6 @@ class HeckeElem:
         return cls(m, {perm_id(m): LaurentPoly.one()})
 
     @classmethod
-    def gen(cls, m, i):
-        if not 1 <= i <= m - 1:
-            raise ValueError("generator index out of range")
-        return cls(m, {apply_right_s(perm_id(m), i): LaurentPoly.one()})
-
-    @classmethod
     def basis(cls, m, w):
         return cls(m, {w: LaurentPoly.one()})
 

@@ -2,9 +2,10 @@
 
 The parameters are singular exactly when some tower form degenerates on an
 irreducible module of the small Hecke algebra, which happens iff for some
-f >= 1 and some e-restricted lam of n-2f the induced module
+f >= 1 and some lam of n-2f with D^lam != 0 the induced module
 |D_{f,n}| * dim D^lam is strictly bigger than the simple head of the cell
-module, i.e. the rank of its specialized Gram matrix.
+module, i.e. the rank of its specialized Gram matrix.  dim D^lam is the
+rank of the f = 0 Gram matrix of lam, so D^lam != 0 is read from it.
 
 The defining relations are unchanged under T_i -> -T_i, E_i -> E_i,
 q -> -q, r -> -r, since w = q - q^-1 changes sign and delta stays fixed.
@@ -19,17 +20,18 @@ with S diagonal of signs, and every rank in the table is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims,
                       check_sign_certificate, gram_matrix, specialized_rank)
 from .coeff import ParamSpec, is_prime
-from .combin import dfn_size, is_e_restricted, partitions
+from .combin import dfn_size, partitions
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 # Most concrete regimes of one sweep, (p - 3)(p - 1) per prime p >= 5:
-# `sweep --primes 181` (32,040 regimes) takes 1.9 s at nmax 2 and 24 s at
-# nmax 5, and --primes 307 (93,024) 5.5 s at nmax 2 (2-vCPU VM, CPython
-# 3.11); the specs alone grow as p^2.
+# `sweep --primes 181` (32,040 regimes) takes 0.7-1.0 s at nmax 2 and 6.1 s
+# at nmax 5, and --primes 307 (93,024, past the budget) 2.8 s at nmax 2 (in
+# one process, 2-vCPU VM, CPython 3.11); the specs alone grow as p^2.
 SWEEP_MAX_REGIMES = 1 << 15
 
 
@@ -66,9 +68,18 @@ def _gram(n, f, lam):
     return _GRAM_CACHE[key]
 
 
+@lru_cache(maxsize=None)
+def _shapes(n):
+    """(f, lam, |D_{f,n}|) of every cell of degree n with f >= 1, in the
+    order of the oracle's table."""
+    return tuple((f, lam, dfn_size(f, n)) for f in range(1, n // 2 + 1)
+                 for lam in partitions(n - 2 * f))
+
+
 def singular_oracle(n, spec):
-    """Scan every level f >= 1 and e-restricted shape, comparing induced
-    and simple dimensions."""
+    """Scan every level f >= 1 and shape lam with D^lam != 0, comparing
+    induced and simple dimensions; ``plan_rank`` keeps dim D^lam, which
+    has no r in it, for every r0 of one (p, q0)."""
     if not spec.is_concrete():
         raise ValueError("the oracle needs a concrete spec")
     if not 0 <= n <= DEFAULT_MAX_N:
@@ -77,21 +88,20 @@ def singular_oracle(n, spec):
     table = []
     first = None
     singular = False
-    for f in range(1, n // 2 + 1):
-        for lam in partitions(n - 2 * f):
-            if not is_e_restricted(lam, spec.e):
-                continue
-            dim_head = (specialized_rank(_gram(n - 2 * f, 0, lam), spec)
-                        if lam else 1)
-            dim_induced = dfn_size(f, n) * dim_head
-            dim_simple = specialized_rank(_gram(n, f, lam), spec)
-            table.append((f, lam, dim_induced, dim_simple))
-            if dim_simple > dim_induced:
-                raise AssertionError("quotient bound violated at %r" %
-                                     ((f, lam),))
-            if dim_induced > dim_simple and first is None:
-                first = (f, lam)
-                singular = True
+    for f, lam, size in _shapes(n):
+        dim_head = (specialized_rank(_gram(n - 2 * f, 0, lam), spec)
+                    if lam else 1)
+        if not dim_head:
+            continue
+        dim_induced = size * dim_head
+        dim_simple = specialized_rank(_gram(n, f, lam), spec)
+        table.append((f, lam, dim_induced, dim_simple))
+        if dim_simple > dim_induced:
+            raise AssertionError("quotient bound violated at %r" %
+                                 ((f, lam),))
+        if dim_induced > dim_simple and first is None:
+            first = (f, lam)
+            singular = True
     return OracleReport(spec=spec, n=n, singular=singular, table=table,
                         first_witness=first)
 
@@ -136,7 +146,8 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
     classifier verdict), disagreements are (n, spec, oracle report,
     classifier verdict).  The oracle runs once per orbit (module
     docstring): its report serves the partner (p, p - q0, p - r0), later
-    in the same prime, with the partner's spec.
+    in the same prime; the report of a disagreement carries the spec of
+    its own regime.
     """
     from .classify import classify_bmw
     rows = []
@@ -150,12 +161,11 @@ def agreement_sweep(ns=(2, 3, 4, 5), primes=DEFAULT_PRIMES):
             if rep is None:
                 rep = singular_oracle(n, spec)
                 partners[(p, p - spec.q0, p - spec.r0)] = rep
-            else:
-                rep = replace(rep, spec=spec)
             verdict = classify_bmw(n, spec)
             rows.append((n, spec, rep.singular, verdict.singular))
             if rep.singular != verdict.singular:
-                disagreements.append((n, spec, rep, verdict))
+                disagreements.append((n, spec, replace(rep, spec=spec),
+                                      verdict))
     if not rows:
         raise ValueError("the sweep reaches no regime: degrees %s, primes %s"
                          % (list(ns), list(primes)))

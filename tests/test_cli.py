@@ -10,6 +10,7 @@ from bmwgram import cli
 from bmwgram.cellmod import DIMS_MAX_N, SUBST_MAX_EXP
 from bmwgram.cli import main
 from bmwgram.oracle import DEFAULT_MAX_N, agreement_sweep
+from test_cellmod import gram_from_json
 
 
 def run(capsys, argv):
@@ -71,8 +72,7 @@ def test_gram_json_roundtrip(capsys):
     rc, out = run(capsys, ["--output", "json", "gram", "--n", "2",
                            "--f", "1", "--lambda", "()"])
     assert rc == 0
-    from bmwgram.cellmod import GramMatrix
-    g = GramMatrix.from_json(json.loads(out))
+    g = gram_from_json(json.loads(out))
     assert g.dim() == 1
 
 

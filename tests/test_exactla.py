@@ -154,6 +154,47 @@ def test_packed_pivots_match_reference(p):
             assert len(pivots[0]) == rank
 
 
+def _rows_at_the_bound(terms, pivots, p):
+    """pivots + 2 rows of pivots + 2 columns whose packed elimination
+    drives the fields to the largest values ``_field_size`` admits.
+
+    The first ``pivots`` rows start each field at the largest value
+    <= terms (p-1)^2 of the residue they need: pivot residue 1 on the
+    diagonal and the pivot's residue below it, so every update multiplies
+    by p - 1, and every tail residue p - 1, so every update adds (p-1)^2.
+    Pivot row j then carries terms (p-1)^2 + j (p-1)^2 into its Barrett
+    reduction.  The last two rows are zero up to the last pivot's column
+    and differ only by p in the field after it: if a quotient of that
+    pivot's tail came out one too large, its residue p - 1 would read -1,
+    the first of them would go below zero there and borrow from the next
+    field, and the two would no longer cancel."""
+    top = terms * (p - 1) ** 2
+    rows = [[top - (top + 1 + i) % p if i < col else top - (top - 1 + col) % p
+             for col in range(pivots + 2)] for i in range(pivots)]
+    low = [0] * (pivots - 1) + [1, 0, p - 1]
+    return rows + [low, low[:pivots] + [p] + low[pivots + 1:]]
+
+
+@pytest.mark.parametrize("p", (2, 3, 31, 4194301, PIVOT_PRIME))
+def test_packed_rank_at_the_field_bound(p):
+    """Rows whose fields reach terms (p-1)^2 plus (p-1)^2 per pivot, packed
+    at exactly 2k + 2 bits, k the bit length of (terms + pivots)(p-1)^2,
+    the room ``_field_size`` rounds up to bytes: the packed elimination
+    picks the reference's pivots."""
+    for terms in (1, 2, 3):
+        for pivots in (1, 2, 3, 6):
+            m = _rows_at_the_bound(terms, pivots, p)
+            k = ((terms + pivots) * (p - 1) ** 2).bit_length()
+            width = 2 * k + 2
+            assert 8 * exactla._field_size(terms, pivots, p) >= width
+            packed = [sum(x << width * j for j, x in enumerate(row))
+                      for row in m]
+            pivots_ref = gf_pivots(m, p)
+            assert len(pivots_ref[0]) == gf_rank(m, p) == pivots + 1
+            assert exactla._packed_rank(packed, pivots + 2, width,
+                                        p) == pivots_ref
+
+
 def _divexact(a, b):
     """Exact division of Laurent polynomials (lex order on exponents)."""
     if b.is_zero():

@@ -5,8 +5,9 @@ import pytest
 
 from bmwgram.cellmod import CellIndex, gram_matrix, gram_rank
 from bmwgram.coeff import LaurentPoly, ParamSpec
-from bmwgram.combin import (conjugate, is_e_restricted, num_std_tableaux,
-                            partitions, perm_len, perm_mul, perm_word)
+from bmwgram.combin import (apply_right_s, conjugate, is_e_restricted,
+                            num_std_tableaux, partitions, perm_id, perm_len,
+                            perm_mul, perm_word)
 from bmwgram.exactla import bareiss_det
 from bmwgram.hecke import (HeckeElem, _cell_probe, cell_coefficient,
                            cell_form, cell_value, double_coset_min,
@@ -14,6 +15,11 @@ from bmwgram.hecke import (HeckeElem, _cell_probe, cell_coefficient,
 
 L = LaurentPoly
 OMEGA = L.omega()
+
+
+def hecke_gen(m, i):
+    """The generator g_i of the Hecke algebra of S_m, 1 <= i < m."""
+    return HeckeElem.basis(m, apply_right_s(perm_id(m), i))
 
 
 def signed_symmetrizer(mu, m):
@@ -36,13 +42,13 @@ def specht_rank(lam, spec):
 
 
 def test_quadratic_relation():
-    g1 = HeckeElem.gen(2, 1)
+    g1 = hecke_gen(2, 1)
     assert g1 * g1 == HeckeElem.one(2) + g1.scale(OMEGA)
 
 
 def test_defining_relations():
     for m in (3, 4, 5):
-        gens = {i: HeckeElem.gen(m, i) for i in range(1, m)}
+        gens = {i: hecke_gen(m, i) for i in range(1, m)}
         for i in range(1, m):
             quad = gens[i] * gens[i] - gens[i].scale(OMEGA) - HeckeElem.one(m)
             assert quad.is_zero()
@@ -55,8 +61,8 @@ def test_defining_relations():
 
 
 def test_mul_examples():
-    g1 = HeckeElem.gen(3, 1)
-    g2 = HeckeElem.gen(3, 2)
+    g1 = hecke_gen(3, 1)
+    g2 = hecke_gen(3, 2)
     assert (g1 * g2).terms == {(3, 1, 2): L.one()}
     prod = (g1 * g2 * g1) * g1
     assert prod == g1 * g2 + (g1 * g2 * g1).scale(OMEGA)

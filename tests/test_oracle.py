@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from bmwgram.cellmod import CellIndex, cell_dims
+from bmwgram.cellmod import DEFAULT_MAX_N, CellIndex, cell_dims
+from bmwgram.classify import classify_bmw
 from bmwgram.coeff import ParamSpec
-from bmwgram.oracle import (OracleReport, agreement_sweep, radical_dims,
-                            singular_oracle, sweep_specs)
+from bmwgram.oracle import (DEFAULT_PRIMES, OracleReport, agreement_sweep,
+                            radical_dims, singular_oracle, sweep_specs)
 from bmwgram.verify import suite_oracle_agreement
 
 
@@ -102,3 +103,25 @@ def test_sweep_reports_equal_fresh_oracle(monkeypatch):
     for n, spec, rep, _verdict in disagreements:
         assert rep.spec is spec
         assert rep == singular_oracle(n, spec), (n, str(spec))
+
+
+def test_every_clause_meets_the_oracle():
+    """Every (clause, verdict) pair that classify_bmw returns on a concrete
+    regime, at any degree the oracle takes and any prime up to 31, is
+    checked against the oracle somewhere in Tier-1: by the sweep at
+    n <= 5 over the default primes (acceptance criterion 4), or by an
+    n = 3 sweep at p = 17, the least prime with q^4 = -1 solvable and so
+    the first to reach the True branch of main.1.2.b."""
+    checked = set()
+    for ns, primes in (((2, 3, 4, 5), DEFAULT_PRIMES), ((3,), (17,))):
+        rows, disagreements = agreement_sweep(ns=ns, primes=primes)
+        assert not disagreements
+        checked |= {(classify_bmw(n, spec).clause, verdict)
+                    for n, spec, _oracle, verdict in rows}
+    returned = set()
+    for spec in sweep_specs((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)):
+        for n in range(2, DEFAULT_MAX_N + 1):
+            verdict = classify_bmw(n, spec)
+            returned.add((verdict.clause, verdict.singular))
+    assert ("main.1.2.b", True) in returned
+    assert returned <= checked, sorted(returned - checked)

@@ -12,8 +12,10 @@ For every workload, runs ``bench/run.py`` of the parent checkout and of the
 change checkout in alternating pairs: pair k runs the parent first when k is
 even and the change first when k is odd, so a slow drift of the machine
 falls on both sides.  Each run is one ``bench/run.py --workload W --seed S
---trace T`` process at the benchmark's own run length; its last stdout line
-is the result and the line before it the environment record.
+--trace T --seconds L`` process; L is ``--seconds``, by default the
+benchmark's own run length (``run_seconds`` in the change's
+BENCHMARK.json).  Its last stdout line is the result and the line before
+it the environment record.
 
 Writes ``BENCH_<tag>.json`` (``--out`` overrides the path) with every run's
 metrics and environment (``source_sha256``, ``git_commit``, ``nproc``,
@@ -26,12 +28,12 @@ records them), and the entry's ``call_s`` summarizes those per argv and
 side, so a gain confined to one call shows where it sits.  Quartiles are
 ``statistics.quantiles(..., n=4, method="inclusive")``.  Entries are keyed
 ``<workload> seed=<S> trace=<T>``; an existing file keeps the entries this
-call does not rerun.  Exits 1 if a run fails to produce a result or reports
-a failed operation.
+call does not rerun; each entry records the run length in ``seconds``.
+Exits 1 if a run fails to produce a result or reports a failed operation.
 
 Its last stdout lines give, for every workload run and every end-to-end
-metric of BENCHMARK.json, the parent and change medians, the parent's IQR
-and the pairs the change won.
+metric of BENCHMARK.json, the parent and change medians, the parent's IQR,
+the pairs the change won and the run length.
 """
 
 import argparse
@@ -46,9 +48,10 @@ SHOWN = ("wall_s", "peak_rss_mb", "coeff.mul_calls")   # printed per run
 KEPT = ("source_sha256", "git_commit", "nproc", "python", "platform")
 
 
-def run_bench(checkout, workload, seed, trace):
+def run_bench(checkout, workload, seed, trace, seconds):
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--trace", str(trace),
+           "--seconds", str(seconds)]
     start = time.time()
     proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -72,13 +75,13 @@ def run_bench(checkout, workload, seed, trace):
 
 
 def directions(checkout):
-    """The better direction of every metric, and the end-to-end metrics'
-    names in BENCHMARK.json's order."""
+    """The better direction of every metric, the end-to-end metrics'
+    names in BENCHMARK.json's order, and its run length in seconds."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     return ({m["name"]: m["better"]
              for m in spec["end_to_end"] + spec["per_layer"]},
-            [m["name"] for m in spec["end_to_end"]])
+            [m["name"] for m in spec["end_to_end"]], spec["run_seconds"])
 
 
 def summary(values):
@@ -128,18 +131,25 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--seconds", type=float,
+                    help="run length of each bench/run.py (default: the "
+                         "benchmark's run_seconds)")
     ap.add_argument("--tag", required=True)
     ap.add_argument("--out", help="output path (default BENCH_<tag>.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     out_path = args.out or "BENCH_%s.json" % args.tag
-    better, end_to_end = directions(args.change)
+    better, end_to_end, run_seconds = directions(args.change)
+    seconds = run_seconds if args.seconds is None else args.seconds
+    if not seconds > 0:
+        ap.error("--seconds must be positive")
     report = {"tag": args.tag, "workloads": {}}
     if os.path.exists(out_path):
         with open(out_path) as fh:
             report = json.load(fh)
-    setting = {"seed": args.seed, "trace": args.trace, "pairs": args.pairs}
+    setting = {"seed": args.seed, "trace": args.trace, "pairs": args.pairs,
+               "seconds": seconds}
     status = 0
     for workload in args.workload:
         runs = []
@@ -149,7 +159,7 @@ def main(argv=None):
                 checkout = args.parent if side == "parent" else args.change
                 try:
                     res = run_bench(checkout, workload, args.seed,
-                                    args.trace)
+                                    args.trace, seconds)
                 except RuntimeError as err:
                     print("bench_pairs: %s" % err, file=sys.stderr)
                     return 1
@@ -173,18 +183,19 @@ def main(argv=None):
         metrics = report["workloads"][key]["metrics"]
         for name in end_to_end:
             if name in metrics:
-                print(summary_line(key, name, metrics[name]))
+                print(summary_line(key, name, metrics[name], seconds))
     return status
 
 
-def summary_line(key, name, m):
+def summary_line(key, name, m, seconds):
     """One workload's end-to-end metric: the two medians, the parent's
-    IQR and the pairs the change won, the figures a claimed gain is read
-    from."""
+    IQR, the pairs the change won and the run length, the figures a
+    claimed gain is read from."""
     return ("%s %s: parent median %.4g, change median %.4g, parent IQR "
-            "%.4g, change won %d/%d pairs (%s is better)"
+            "%.4g, change won %d/%d pairs (%s is better; %g s runs)"
             % (key, name, m["parent"]["median"], m["change"]["median"],
-               m["parent"]["iqr"], m["pairs_won"], m["pairs"], m["better"]))
+               m["parent"]["iqr"], m["pairs_won"], m["pairs"], m["better"],
+               seconds))
 
 
 if __name__ == "__main__":
