@@ -109,15 +109,19 @@ def test_every_clause_meets_the_oracle():
     """Every (clause, verdict) pair that classify_bmw returns on a concrete
     regime, at any degree the oracle takes and any prime up to 31, is
     checked against the oracle somewhere in Tier-1: by the sweep at
-    n <= 5 over the default primes (acceptance criterion 4), or by an
-    n = 3 sweep at p = 17, the least prime with q^4 = -1 solvable and so
-    the first to reach the True branch of main.1.2.b."""
+    n <= 5 over the default primes, which acceptance criterion 4 runs and
+    finds free of disagreements, or by an n = 3 sweep at p = 17, the least
+    prime with q^4 = -1 solvable and so the first to reach the True branch
+    of main.1.2.b."""
     checked = set()
-    for ns, primes in (((2, 3, 4, 5), DEFAULT_PRIMES), ((3,), (17,))):
-        rows, disagreements = agreement_sweep(ns=ns, primes=primes)
-        assert not disagreements
-        checked |= {(classify_bmw(n, spec).clause, verdict)
-                    for n, spec, _oracle, verdict in rows}
+    for spec in sweep_specs(DEFAULT_PRIMES):
+        for n in (2, 3, 4, 5):
+            verdict = classify_bmw(n, spec)
+            checked.add((verdict.clause, verdict.singular))
+    rows, disagreements = agreement_sweep(ns=(3,), primes=(17,))
+    assert not disagreements
+    checked |= {(classify_bmw(n, spec).clause, verdict)
+                for n, spec, _oracle, verdict in rows}
     returned = set()
     for spec in sweep_specs((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)):
         for n in range(2, DEFAULT_MAX_N + 1):

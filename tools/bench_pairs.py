@@ -12,10 +12,9 @@ For every workload, runs ``bench/run.py`` of the parent checkout and of the
 change checkout in alternating pairs: pair k runs the parent first when k is
 even and the change first when k is odd, so a slow drift of the machine
 falls on both sides.  Each run is one ``bench/run.py --workload W --seed S
---trace T --seconds L`` process; L is ``--seconds``, by default the
-benchmark's own run length (``run_seconds`` in the change's
-BENCHMARK.json).  Its last stdout line is the result and the line before
-it the environment record.
+--trace T --seconds L`` process, where L is the benchmark's own run
+length (``run_seconds`` in the change's BENCHMARK.json); its last stdout
+line is the result and the line before it the environment record.
 
 Writes ``BENCH_<tag>.json`` (``--out`` overrides the path) with every run's
 metrics and environment (``source_sha256``, ``git_commit``, ``nproc``,
@@ -131,19 +130,13 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--seconds", type=float,
-                    help="run length of each bench/run.py (default: the "
-                         "benchmark's run_seconds)")
     ap.add_argument("--tag", required=True)
     ap.add_argument("--out", help="output path (default BENCH_<tag>.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     out_path = args.out or "BENCH_%s.json" % args.tag
-    better, end_to_end, run_seconds = directions(args.change)
-    seconds = run_seconds if args.seconds is None else args.seconds
-    if not seconds > 0:
-        ap.error("--seconds must be positive")
+    better, end_to_end, seconds = directions(args.change)
     report = {"tag": args.tag, "workloads": {}}
     if os.path.exists(out_path):
         with open(out_path) as fh:
