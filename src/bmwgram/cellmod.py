@@ -10,12 +10,17 @@ E^{f,n} X_lam in
 modulo higher cells.  In the inflation picture (Koenig-Xi) that is
 <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_f the tower form and <h>_lam
 the X_lam-coefficient of X_lam h X_lam in the Hecke algebra of S_m:
-gram_matrix reads every cell so, taking the phi_f(u, v) with u <= v from
-one depth-first walk of the dangle tree (bmw.phi_pairs), and direct_gram,
-the product inside the algebra, is kept as the reference for the tests.
+every cell is assembled so, taking the phi_f(u, v) with u <= v from one
+depth-first walk of the dangle tree (bmw.phi_pairs), and direct_gram, the
+product inside the algebra, is kept as the reference for the tests.
+gram_matrix, the one way to get a Gram matrix, assembles each cell once
+per process and keeps it once it passed the sign certificate: callers share
+the kept, certified matrix and must not mutate it.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .bmw import fold_T, mul_elems, star_elem
 from .coeff import LaurentPoly
@@ -43,27 +48,17 @@ DIMS_MAX_N = 30           # largest degree of cell_dims: 0.8 s at n = 30
                           # would enumerate p(200) ~ 4e12 partitions
 
 
-class CellIndex:
-    __slots__ = ("n", "f", "lam")
+class CellIndex(namedtuple("CellIndex", "n f lam")):
+    """The cell (f, lam) of degree n, lam a partition of n - 2f."""
+    __slots__ = ()
 
-    def __init__(self, n, f, lam):
+    def __new__(cls, n, f, lam):
         lam = tuple(lam)
         if (not (0 <= 2 * f <= n) or sum(lam) != n - 2 * f
                 or any(part <= 0 for part in lam)
                 or any(a < b for a, b in zip(lam, lam[1:]))):
             raise ValueError("invalid cell (%d, %r) for degree %d" % (f, lam, n))
-        self.n = n
-        self.f = f
-        self.lam = lam
-
-    def __eq__(self, other):
-        return (self.n, self.f, self.lam) == (other.n, other.f, other.lam)
-
-    def __hash__(self):
-        return hash((self.n, self.f, self.lam))
-
-    def __repr__(self):
-        return "CellIndex(n=%d, f=%d, lam=%r)" % (self.n, self.f, self.lam)
+        return super().__new__(cls, n, f, lam)
 
 
 class GramMatrix:
@@ -142,11 +137,28 @@ def _extract(cell, elem):
         _bmw.hecke_image(_bmw.BmwElem(cell.n, elem), cell.f), cell.lam)
 
 
+_GRAMS = {}   # CellIndex -> its certified GramMatrix, kept for the process
+
+
 def gram_matrix(cell):
-    """Gram matrix of the invariant form on the cell module: entry
-    ((s, u), (t, v)) is <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam, phi_0 = 1,
-    one Hecke product read term by term through hecke.cell_value.  The
-    phi_f(u, v) arrive pair by pair from bmw.phi_pairs."""
+    """Gram matrix of the invariant form on the cell module, assembled
+    once per process and kept after it passed check_sign_certificate.
+    Every caller shares the kept matrix and must not mutate it;
+    substitute_r returns a new one."""
+    gram = _GRAMS.get(cell)
+    if gram is None:
+        gram = _assemble(cell)
+        check_sign_certificate(gram)
+        # two threads may assemble one cell at once; both get the first kept
+        gram = _GRAMS.setdefault(cell, gram)
+    return gram
+
+
+def _assemble(cell):
+    """Entry ((s, u), (t, v)) is <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam,
+    phi_0 = 1, one Hecke product read term by term through
+    hecke.cell_value.  The phi_f(u, v) arrive pair by pair from
+    bmw.phi_pairs."""
     n, f, lam = cell.n, cell.f, cell.lam
     if n > DEFAULT_MAX_N:
         raise ValueError("degree %d outside the budget 0..%d"
@@ -224,16 +236,11 @@ def gram_det(gram):
 
 
 def gram_rank(cell, spec):
-    """Rank of the specialized Gram matrix over GF(p): dim of the simple
-    head of the cell module."""
+    """Rank of the cell's Gram matrix at the concrete spec over GF(p):
+    dim of the simple head of the cell module."""
     if not spec.is_concrete():
         raise ValueError("rank needs a concrete spec")
-    gram = gram_matrix(cell)
-    return specialized_rank(gram, spec)
-
-
-def specialized_rank(gram, spec):
-    return plan_rank(gram.plan(), spec.p, spec.q0, spec.r0)
+    return plan_rank(gram_matrix(cell).plan(), spec.p, spec.q0, spec.r0)
 
 
 def central_element(n):
@@ -254,12 +261,10 @@ def central_scalar(cell):
     return out
 
 
-def central_twisted_gram(cell, z_elem=None):
-    """Entries extract(row_a * Z * col_b): equals scalar * Gram when the
-    central element acts by that scalar."""
+def central_twisted_gram(cell, z_elem):
+    """Entries extract(row_a * Z * col_b), Z = z_elem: equals scalar * Gram
+    when the central element acts by that scalar."""
     n, f = cell.n, cell.f
-    if z_elem is None:
-        z_elem = central_element(n)
     labels = cell_labels(cell)
     rows = _row_elements(cell)
     cols = [star_elem(rw) for rw in rows]

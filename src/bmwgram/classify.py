@@ -10,6 +10,7 @@ fired.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coeff import DELTA, either, is_prime
 from .combin import (forbidden_r_values, hook_lengths, is_e_restricted,
@@ -47,6 +48,11 @@ def set_S(n):
     return out
 
 
+@lru_cache(maxsize=None)
+def _sorted_S(n):
+    return tuple(sorted(set_S(n)))
+
+
 def set_Z(n):
     """Integer delta values singular for the Brauer algebra in the large
     characteristic regime."""
@@ -70,7 +76,7 @@ def classify_bmw(n, spec):
                        notes="cannot decide r in {q^-1, -q}")
     if not inpair:
         hits = []
-        for sign, a in sorted(set_S(n)):
+        for sign, a in _sorted_S(n):
             ok = spec.r_equals(sign, a)
             if ok is None:
                 return Verdict(None, "indeterminate",

@@ -132,7 +132,7 @@ def build_parser():
 
     s = sub.add_parser("sweep", help="oracle vs classifier agreement sweep")
     s.add_argument("--nmax", type=int, default=4)
-    s.add_argument("--primes", default="2,3,5,7,11,13")
+    s.add_argument("--primes", default=",".join(map(str, OR.DEFAULT_PRIMES)))
     return ap
 
 
@@ -194,14 +194,14 @@ def cmd_gram(args):
                              % (args.subst, CM.SUBST_MAX_EXP))
     spec = _rank_point(args, subst)
     gram = CM.gram_matrix(cell)
-    if subst is not None:
-        gram = gram.substitute_r(*subst)
     if spec is not None:
-        rank = CM.specialized_rank(gram, spec)
+        rank = CM.gram_rank(cell, spec)   # r0 = ±q0^a by _rank_point
         _emit(args, {"cell": gram.to_json()["cell"], "rank": rank,
                      "dim": gram.dim()},
               ["rank = %d of %d" % (rank, gram.dim())])
         return 0
+    if subst is not None:
+        gram = gram.substitute_r(*subst)
     if args.det:
         det = CM.gram_det(gram)
         if det.is_zero():

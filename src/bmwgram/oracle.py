@@ -12,9 +12,10 @@ q -> -q, r -> -r, since w = q - q^-1 changes sign and delta stays fixed.
 So B_n(q0, r0) and B_n(-q0, -r0) have the same cell-module ranks, and
 agreement_sweep computes one report per orbit {(p, q0, r0), (p, p - q0,
 p - r0)}.  The reuse is exact, not assumed: ord(q0^2) and |D_{f,n}| are
-the same at both points, and every matrix _gram hands out is certified:
-it passed cellmod.check_sign_certificate, so G(-q0, -r0) = S G(q0, r0) S
-with S diagonal of signs, and every rank in the table is the same.
+the same at both points, and every matrix cellmod.gram_matrix hands out
+is certified: it passed cellmod.check_sign_certificate, so G(-q0, -r0) =
+S G(q0, r0) S with S diagonal of signs, and every rank in the table is the
+same.  The oracle keeps no Gram matrix: it ranks through cellmod.gram_rank.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .cellmod import (DEFAULT_MAX_N, CellIndex, cell_dims,
-                      check_sign_certificate, gram_matrix, specialized_rank)
+from .cellmod import DEFAULT_MAX_N, CellIndex, cell_dims, gram_rank
 from .coeff import ParamSpec, is_prime
 from .combin import dfn_size, partitions
 
@@ -55,24 +55,15 @@ class OracleReport:
         }
 
 
-_GRAM_CACHE = {}
-
-
-def _gram(n, f, lam):
-    """Gram matrix of cell (n, f, lam), sign-certified before it is cached."""
-    key = (n, f, lam)
-    if key not in _GRAM_CACHE:
-        gram = gram_matrix(CellIndex(n, f, lam))
-        check_sign_certificate(gram)
-        _GRAM_CACHE[key] = gram
-    return _GRAM_CACHE[key]
-
-
 @lru_cache(maxsize=None)
 def _shapes(n):
-    """(f, lam, |D_{f,n}|) of every cell of degree n with f >= 1, in the
-    order of the oracle's table."""
-    return tuple((f, lam, dfn_size(f, n)) for f in range(1, n // 2 + 1)
+    """(cell, head, |D_{f,n}|) of every cell (f, lam) of degree n with
+    f >= 1, in the order of the oracle's table; head is the f = 0 cell of
+    lam at degree n - 2f, None for lam = ()."""
+    return tuple((CellIndex(n, f, lam),
+                  CellIndex(n - 2 * f, 0, lam) if lam else None,
+                  dfn_size(f, n))
+                 for f in range(1, n // 2 + 1)
                  for lam in partitions(n - 2 * f))
 
 
@@ -88,32 +79,28 @@ def singular_oracle(n, spec):
     table = []
     first = None
     singular = False
-    for f, lam, size in _shapes(n):
-        dim_head = (specialized_rank(_gram(n - 2 * f, 0, lam), spec)
-                    if lam else 1)
+    for cell, head, size in _shapes(n):
+        dim_head = gram_rank(head, spec) if head is not None else 1
         if not dim_head:
             continue
         dim_induced = size * dim_head
-        dim_simple = specialized_rank(_gram(n, f, lam), spec)
-        table.append((f, lam, dim_induced, dim_simple))
+        dim_simple = gram_rank(cell, spec)
+        table.append((cell.f, cell.lam, dim_induced, dim_simple))
         if dim_simple > dim_induced:
             raise AssertionError("quotient bound violated at %r" %
-                                 ((f, lam),))
+                                 ((cell.f, cell.lam),))
         if dim_induced > dim_simple and first is None:
-            first = (f, lam)
+            first = (cell.f, cell.lam)
             singular = True
     return OracleReport(spec=spec, n=n, singular=singular, table=table,
                         first_witness=first)
 
 
 def radical_dims(n, spec):
-    """dim of the radical of each cell module under the spec."""
-    if not spec.is_concrete():
-        raise ValueError("needs a concrete spec")
+    """dim of the radical of each cell module under the concrete spec."""
     out = {}
     for cell, dim in cell_dims(n).items():
-        rank = specialized_rank(_gram(n, cell.f, cell.lam), spec)
-        out[cell] = dim - rank
+        out[cell] = dim - gram_rank(cell, spec)
     return out
 
 

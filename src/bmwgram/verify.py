@@ -14,8 +14,8 @@ from . import cellmod as CM
 from . import classify as CL
 from .coeff import LaurentPoly
 from .combin import is_admissible, num_std_tableaux, dfn_size, partitions
-from .oracle import agreement_sweep, sweep_specs, _gram
-from .cellmod import specialized_rank, cell_dims
+from .oracle import agreement_sweep, sweep_specs
+from .cellmod import cell_dims
 
 ONE = LaurentPoly.one()
 
@@ -52,14 +52,15 @@ def suite_b1_formulas():
     """Closed-form determinant regression for the seven listed cases."""
     out = []
     for name, (n, f, lam), sub, expected in b1_cases():
-        det = CM.gram_det(_gram(n, f, lam).substitute_r(*sub))
+        gram = CM.gram_matrix(CM.CellIndex(n, f, lam))
+        det = CM.gram_det(gram.substitute_r(*sub))
         got = det.normalize_unit()[1]
         want = expected.normalize_unit()[1]
         ok = got == want
         detail = "" if ok else "got %s, expected %s" % (got, want)
         out.append((name, ok, detail))
     for n in (2, 4):
-        g = _gram(n, n // 2, ())
+        g = CM.gram_matrix(CM.CellIndex(n, n // 2, ()))
         for sgn, a in ((1, -1), (-1, 1)):
             det = CM.gram_det(g.substitute_r(sgn, a))
             out.append(("det G_{%d/2,()} vanishes at r=%sq^%d"
@@ -152,8 +153,8 @@ def suite_dims():
     return _dimension_identity("sum of squared cell dimensions n=%d")
 
 
-def suite_oracle_agreement(nmax=5, primes=(2, 3, 5, 7, 11, 13)):
-    rows, disagreements = agreement_sweep(ns=range(2, nmax + 1), primes=primes)
+def suite_oracle_agreement(nmax=5):
+    rows, disagreements = agreement_sweep(ns=range(2, nmax + 1))
     out = [("oracle/classifier agreement (%d regimes)" % len(rows),
             not disagreements,
             "; ".join("n=%d %s" % (n, spec) for n, spec, _a, _b
@@ -174,7 +175,7 @@ def suite_witnesses():
             count += 1
             (l, mu), (f, lam) = CL.b3_witness(n, spec)
             dim = num_std_tableaux(lam) * dfn_size(f, n)
-            rank = specialized_rank(_gram(n, f, lam), spec)
+            rank = CM.gram_rank(CM.CellIndex(n, f, lam), spec)
             if not (rank < dim and is_admissible(mu, lam, f - l, spec)):
                 bad.append((n, str(spec)))
     out.append(("witness validation (%d reachable regimes)" % count,
@@ -191,7 +192,7 @@ def suite_hecke():
     for spec in sweep_specs((5, 7, 11, 13)):
         for m in range(1, 6):
             for lam in partitions(m):
-                rank = specialized_rank(_gram(m, 0, lam), spec)
+                rank = CM.gram_rank(CM.CellIndex(m, 0, lam), spec)
                 if spec.e is not None and spec.e > m:
                     if rank != num_std_tableaux(lam):
                         bad.append((str(spec), lam, "semisimple rank"))

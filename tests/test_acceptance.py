@@ -18,7 +18,6 @@ import pytest
 from bmwgram import cellmod as CM
 from bmwgram import classify as CL
 from bmwgram import verify as V
-from bmwgram.oracle import _gram
 
 
 def report(name, ok):
@@ -35,7 +34,8 @@ def assert_suite(name, results):
                          ids=[c[0] for c in V.b1_cases()])
 def test_criterion_1_b1_formulas(name, cell, sub, expected):
     n, f, lam = cell
-    det = CM.gram_det(_gram(n, f, lam).substitute_r(*sub))
+    det = CM.gram_det(CM.gram_matrix(CM.CellIndex(n, f, lam))
+                      .substitute_r(*sub))
     got = det.normalize_unit()[1]
     want = expected.normalize_unit()[1]
     ok = got == want
@@ -46,7 +46,7 @@ def test_criterion_1_b1_formulas(name, cell, sub, expected):
 def test_criterion_2_top_cell_vanishing():
     ok = True
     for n in (2, 4):
-        g = _gram(n, n // 2, ())
+        g = CM.gram_matrix(CM.CellIndex(n, n // 2, ()))
         for sub in ((1, -1), (-1, 1)):
             ok = ok and CM.gram_det(g.substitute_r(*sub)).is_zero()
     report("criterion 2 (top cell determinant vanishes, n in {2,4})", ok)

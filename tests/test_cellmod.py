@@ -74,11 +74,13 @@ def test_inflation_backend(n):
                 CM.direct_gram(cell).entries
 
 
-def test_inflation_backend_n7_top_cell():
-    """The one f = 3 cell at n = 7 from empty structure-constant tables:
-    its tower form needs level-3 products that no n <= 6 cell reaches."""
+def test_inflation_backend_n7_top_cell(monkeypatch):
+    """The one f = 3 cell at n = 7 from empty structure-constant tables
+    and an empty Gram cache: its tower form needs level-3 products that no
+    n <= 6 cell reaches."""
     bmw._WT.clear()
     bmw._WE.clear()
+    monkeypatch.setattr(CM, "_GRAMS", {})
     cell = CM.CellIndex(7, 3, (1,))
     gram, ref = CM.gram_matrix(cell), CM.direct_gram(cell)
     assert (gram.labels, gram.entries) == (ref.labels, ref.entries)
@@ -256,10 +258,10 @@ def test_specialized_rank_matches_reference_in_any_order():
                                             spec.r0), spec.p)
             for g, spec in pairs}
     assert len(set(want.values())) > 10
-    assert all(CM.specialized_rank(g, spec) == want[id(g), spec]
+    assert all(CM.gram_rank(g.cell, spec) == want[id(g), spec]
                for spec in specs for g in grams)
     random.Random(5).shuffle(pairs)
-    assert all(CM.specialized_rank(g, spec) == want[id(g), spec]
+    assert all(CM.gram_rank(g.cell, spec) == want[id(g), spec]
                for g, spec in pairs)
 
 
@@ -292,11 +294,11 @@ def test_r_free_rank_is_kept_only_without_r():
     never kept."""
     head = CM.gram_matrix(CM.CellIndex(4, 0, (2, 1, 1)))
     assert head.plan().rlen == 1
-    CM.specialized_rank(head, ParamSpec.concrete(13, 2, 5))
+    CM.gram_rank(head.cell, ParamSpec.concrete(13, 2, 5))
     assert head.plan().folded.rank is not None
     g = CM.gram_matrix(CM.CellIndex(3, 1, (1,)))
     assert g.plan().rlen > 1
-    ranks = [CM.specialized_rank(g, ParamSpec.concrete(5, 2, r0))
+    ranks = [CM.gram_rank(g.cell, ParamSpec.concrete(5, 2, r0))
              for r0 in (1, 3, 1, 3)]
     assert ranks[0] != ranks[1] and ranks == ranks[:2] * 2
     assert g.plan().folded.rank is None
@@ -311,13 +313,16 @@ def test_concurrent_ranks_share_plans():
     want = {(id(g), spec): gf_rank(evaluate(g.plan(), spec.p, spec.q0,
                                             spec.r0), spec.p)
             for g in grams for spec in specs}
-    wrong = []
+    wrong, errors = [], []
 
     def work(seed):
         pairs = [(g, spec) for g in grams for spec in specs]
         random.Random(seed).shuffle(pairs)
-        wrong.extend((g.cell, spec) for g, spec in pairs
-                     if CM.specialized_rank(g, spec) != want[id(g), spec])
+        try:
+            wrong.extend((g.cell, spec) for g, spec in pairs
+                         if CM.gram_rank(g.cell, spec) != want[id(g), spec])
+        except Exception as err:   # any error fails the test below
+            errors.append(repr(err))
 
     threads = [threading.Thread(target=work, args=(seed,))
                for seed in range(4)]
@@ -331,4 +336,37 @@ def test_concurrent_ranks_share_plans():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert not errors
     assert not wrong
+
+
+def test_concurrent_first_calls_keep_one_matrix(monkeypatch):
+    """Four threads ask an empty Gram cache for every cell with n <= 4,
+    each in its own order: every thread gets the one matrix kept for each
+    cell, even where two threads assembled it at once."""
+    monkeypatch.setattr(CM, "_GRAMS", {})
+    cells = [cell for n in range(1, 5) for cell in CM.cell_dims(n)]
+    got, errors = [], []
+
+    def work(order):
+        try:
+            got.extend((cell, CM.gram_matrix(cell)) for cell in order)
+        except Exception as err:   # any error fails the test below
+            errors.append(repr(err))
+
+    orders = (cells, cells[::-1], cells[1::2] + cells[::2], cells)
+    threads = [threading.Thread(target=work, args=(order,))
+               for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(got) == len(orders) * len(cells)
+    assert all(gram is CM._GRAMS[cell] for cell, gram in got)

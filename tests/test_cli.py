@@ -304,19 +304,18 @@ def test_degree_budgets(capsys, argv):
 
 
 def _refuses_q_scaled_grams(capsys, monkeypatch, argv):
-    """Run argv with every Gram matrix scaled by q, which keeps every rank
-    but fails the sign certificate: one error line naming it and exit 1."""
-    from bmwgram import cellmod as CM, oracle as OR
+    """Run argv on an empty Gram cache with every assembled entry scaled by
+    q, which keeps every rank but fails the sign certificate: one error
+    line naming it and exit 1."""
+    from bmwgram import cellmod as CM
     from bmwgram.coeff import LaurentPoly
+    real = CM.cell_form
 
-    def scaled(cell):
-        gram = CM.gram_matrix(cell)
-        return CM.GramMatrix(cell, gram.labels,
-                             [[e * LaurentPoly.q() for e in row]
-                              for row in gram.entries])
+    def scaled(h, lam):
+        return real(h, lam) * LaurentPoly.q()
 
-    monkeypatch.setattr(OR, "_GRAM_CACHE", {})
-    monkeypatch.setattr(OR, "gram_matrix", scaled)
+    monkeypatch.setattr(CM, "_GRAMS", {})
+    monkeypatch.setattr(CM, "cell_form", scaled)
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
@@ -333,11 +332,22 @@ def test_sweep_refuses_gram_without_sign_certificate(capsys, monkeypatch):
 
 
 def test_oracle_refuses_gram_without_sign_certificate(capsys, monkeypatch):
-    """Every matrix oracle._gram hands out is certified, so a single
+    """Every matrix gram_matrix hands out is certified, so a single
     oracle call prints no verdict either."""
     _refuses_q_scaled_grams(capsys, monkeypatch,
                             ["oracle", "--n", "4", "--p", "7", "--q0", "2",
                              "--r0", "4"])
+
+
+@pytest.mark.parametrize("extra", [
+    ["--det"], ["--rank", "--p", "7", "--q0", "2", "--r0", "4"]],
+    ids=["det", "rank"])
+def test_gram_refuses_gram_without_sign_certificate(capsys, monkeypatch,
+                                                    extra):
+    """gram prints no determinant or rank of an uncertified matrix."""
+    _refuses_q_scaled_grams(capsys, monkeypatch,
+                            ["gram", "--n", "4", "--f", "1", "--lambda",
+                             "(2)"] + extra)
 
 
 def test_cache_subcommand_is_gone():

@@ -14,7 +14,8 @@ import threading
 import pytest
 
 from bmwgram import bmw as B
-from bmwgram.cellmod import CellIndex, gram_matrix
+from bmwgram import cellmod as CM
+from bmwgram.cellmod import CellIndex
 from bmwgram.cli import main
 
 GRAM_JSON_SHA256 = {
@@ -98,14 +99,16 @@ def test_gram_json_n7_f2_matches_fixture(cell):
 
 def test_concurrent_cold_builds_match_fixture():
     """Three threads build every cell with n <= 5 from empty structure-
-    constant tables, each in its own order, and get the fixture bytes."""
+    constant tables, each in its own order, and get the fixture bytes.
+    They call the assembly behind gram_matrix, which keeps no matrix, so
+    every thread builds every cell."""
     cells = sorted(key for key in GRAM_JSON_SHA256 if key[0] <= 5)
     got, errors = [], []
 
     def build(order):
         try:
             for cell in order:
-                gram = gram_matrix(CellIndex(*cell))
+                gram = CM._assemble(CellIndex(*cell))
                 text = json.dumps(gram.to_json(), indent=2, sort_keys=True)
                 got.append((cell, hashlib.sha256(
                     (text + "\n").encode()).hexdigest()))

@@ -7,7 +7,6 @@ from bmwgram.classify import classify_bmw
 from bmwgram.coeff import ParamSpec
 from bmwgram.oracle import (DEFAULT_PRIMES, OracleReport, agreement_sweep,
                             radical_dims, singular_oracle, sweep_specs)
-from bmwgram.verify import suite_oracle_agreement
 
 
 def test_oracle_examples():
@@ -79,7 +78,7 @@ def test_sweep_specs_refuse_bad_primes(primes):
 
 def test_agreement_sweep_without_regimes_fails():
     with pytest.raises(ValueError, match="reaches no regime"):
-        suite_oracle_agreement(nmax=3, primes=(2, 3))
+        agreement_sweep(ns=range(2, 4), primes=(2, 3))
     with pytest.raises(ValueError, match="reaches no regime"):
         agreement_sweep(ns=(), primes=(5,))
 

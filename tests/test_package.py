@@ -1,5 +1,6 @@
 """Invariants of the package source, checked on its syntax tree: it imports
-only the standard library and itself, it has no ``assert`` statement
+only the standard library and itself, no module imports another's
+underscore names, it has no ``assert`` statement
 (``python -O`` strips those, so no check may rest on one), every
 module-level function or class is used somewhere, and none is used by the
 tests alone unless the package exports it."""
@@ -41,6 +42,19 @@ def test_imports_are_stdlib_or_own():
                     if root != "bmwgram"
                     and root not in sys.stdlib_module_names]
     assert not bad
+
+
+def test_no_private_imports_across_modules():
+    """No module imports an underscore name from another module of the
+    package: what one module keeps private, another reaches only through
+    its public functions."""
+    found = [(name, node.lineno, alias.name)
+             for name, tree in package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or node.module.split(".")[0] == "bmwgram")
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found
 
 
 def test_no_assert_statements():
