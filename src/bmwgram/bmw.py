@@ -27,8 +27,14 @@ proved:
   terminate; the 8,256 at n <= 5 are pinned by one sha256 in the tests;
 - all 26 cells at n = 7 build (the three f = 2 cells to a sha256 pinned
   in the tests);
-- every cell with n <= 7 builds under a recursion limit of 150 frames.
+- every cell with n <= 7 builds under a recursion limit of 150 frames
+  (every n <= 6 cell and three n = 7 cells in the tests).
 A cycle brought back by an edit would show as a RecursionError.
+
+The tower form phi_f (phi_pairs) needs only the products E^{f,n} T_v T_i
+with v a dangle: modulo J_{f+1} it is left-linear over the Hecke algebra
+of S_{n-2f}, because T_w for w in S_{n-2f} commutes with E^{f,n}, so a
+word E^{f,n} T_w T_v is read as g_w times the value at E^{f,n} T_v.
 """
 
 from __future__ import annotations
@@ -522,8 +528,26 @@ def phi_pairs(f, n):
     (dangle_parent), T_v^* = T_i T_parent^*, hence Psi_v(x) =
     Psi_parent(x T_i): the transversal is a tree rooted at 1, and only the
     root folds E^{f,n}.
-    Psi is linear, so each node memoizes it word by word; the walk is depth
-    first, and a node's memo lives only while its subtree is open.
+
+    Psi_v is left-linear over the Hecke algebra of S_m, m = n - 2f.  For
+    w in S_m, T_w moves only the first m strands, so it commutes with
+    E^{f,n}:
+
+        E^{f,n} T_w T_v' T_v^* E^{f,n} = T_w (E^{f,n} T_v' T_v^* E^{f,n}).
+
+    Modulo J_{f+1}, where every contraction E_j with j < m that a product
+    E^{f,n} T_w T_y meets lands, E^{f,n} T_w T_y = E^{f,n} g_w g_y.  Hence
+
+        Psi_v(E^{f,n} T_w T_v') = g_w Psi_v(E^{f,n} T_v') = g_w phi_f(v', v).
+
+    A level-f word T_u^* E^{f,n} T_w T_v' with u != 1 keeps its left
+    dangle under right factors, so Psi_v reads nothing from it.  Each node
+    therefore keeps one row, Psi_v(E^{f,n} T_v') keyed by the dangle v' and
+    filled on demand.  An entry at a child is Psi_parent of the level-f
+    words of E^{f,n} T_v' T_i, each one Hecke product g_w times an entry of
+    the parent's row; the structure-constant tables see only dangle words,
+    and the root folds E^{f,n} onto |D_{f,n}| of them.  The walk is depth
+    first, and a node's row lives only while its subtree is open.
     """
     dangles = dfn(f, n)
     idn = perm_id(n)
@@ -533,39 +557,47 @@ def phi_pairs(f, n):
         if v != idn:
             parent, i = dangle_parent(v, f, n)
             children[parent].append((v, i))
-    # E^{f,n} T_u is the normal word (f, 1, 1, u)
-    heads = [(u, (f, idn, perm_id(m), u)) for u in dangles]
+    one_m = perm_id(m)
+    # E^{f,n} T_v' is the normal word (f, 1, 1, v')
+    heads = {v: (f, idn, one_m, v) for v in dangles}
     contract = [("E", j) for j in range(n - 1, m, -2)]
 
-    def at_root(word):
-        return hecke_image(BmwElem(n, fold(n, {word: ONE}, contract, f)),
-                           f).terms
+    def at_root(dangle):
+        elem = fold(n, {heads[dangle]: ONE}, contract, f)
+        return hecke_image(BmwElem(n, elem), f).terms
 
-    def below(psi_parent, i):
-        def psi(word):
+    def below(parent_row, i):
+        def entry(dangle):
             terms = {}
-            for wd, d in _wt_cached(n, word, i).items():
-                if wd[0] <= f:
-                    for ww, c in psi_parent(wd).items():
-                        add_term(terms, ww, c * d)
+            prod = _wt_cached(n, heads[dangle], i)
+            for (ff, uu, ww, vv), d in prod.items():
+                if ff == f and uu == idn:
+                    h = parent_row(vv)
+                    if ww != one_m:
+                        # g_w h = (h^* g_w^*)^*, g_w^* the reversed word
+                        h = HeckeElem(m, h).star().times_basis_word(
+                            reversed(perm_word(ww))).star().terms
+                    for x, c in h.items():
+                        add_term(terms, x, c * d)
             return terms
-        return psi
+        return entry
 
-    def memoized(psi):
+    def row_of(entry):
         memo = {}
 
-        def cached(word):
-            hit = memo.get(word)
+        def cached(dangle):
+            hit = memo.get(dangle)
             if hit is None:
-                hit = memo[word] = psi(word)
+                hit = memo[dangle] = entry(dangle)
             return hit
         return cached
 
-    def walk(v, psi):
-        for u, word in heads:
+    def walk(v, row):
+        for u in dangles:
             if u <= v:
-                yield u, v, HeckeElem(m, psi(word))
+                yield u, v, HeckeElem(m, row(u))
         for child, i in children[v]:
-            yield from walk(child, memoized(below(psi, i)))
+            yield from walk(child, row_of(below(row, i)))
 
-    yield from walk(idn, memoized(at_root))
+    yield from walk(idn, row_of(at_root))
+

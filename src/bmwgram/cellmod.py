@@ -12,7 +12,10 @@ modulo higher cells.  In the inflation picture (Koenig-Xi) that is
 the X_lam-coefficient of X_lam h X_lam in the Hecke algebra of S_m:
 every cell is assembled so, taking the phi_f(u, v) with u <= v from one
 depth-first walk of the dangle tree (bmw.phi_pairs), and direct_gram, the
-product inside the algebra, is kept as the reference for the tests.
+product inside the algebra, is kept as the reference for the tests.  The
+walk keeps one Hecke element per dangle at each node: T_w with w in S_m
+commutes with E^{f,n}, so the tower form is left-linear over the Hecke
+algebra, and a word E^{f,n} T_w T_u contributes g_w phi_f(u, v).
 gram_matrix, the one way to get a Gram matrix, assembles each cell once
 per process and keeps it once it passed the sign certificate: callers share
 the kept, certified matrix and must not mutate it.

@@ -86,6 +86,52 @@ def test_inflation_backend_n7_top_cell(monkeypatch):
     assert (gram.labels, gram.entries) == (ref.labels, ref.entries)
 
 
+def test_structure_constant_tables_stay_small():
+    """The 11 cells of the first n = 6 oracle verdict at ord(q0^2) = 2 (the
+    f >= 1 cells of the 2-restricted shapes and the f = 0 head of every
+    shape), from empty tables, fill bmw._WT and _WE with at most 516 and
+    219 products (1,489 and 730 while the tower form memoized every word
+    of a node, not one entry per dangle)."""
+    cells = [CM.CellIndex(6 - 2 * f, 0, lam) for f in (1, 2)
+             for lam in partitions(6 - 2 * f)]
+    cells += [CM.CellIndex(6, 1, (2, 1, 1)), CM.CellIndex(6, 1, (1, 1, 1, 1)),
+              CM.CellIndex(6, 2, (1, 1)), CM.CellIndex(6, 3, ())]
+    assert len(cells) == 11
+    bmw._WT.clear()
+    bmw._WE.clear()
+    for cell in cells:
+        CM._assemble(cell)
+    assert len(bmw._WT) <= 516
+    assert len(bmw._WE) <= 219
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_cells_build_within_150_frames():
+    """Every cell with n <= 6 and the n = 7 cells (3,(1)), (1,(5)) and
+    (1,(1^5)) build from empty tables with at most 150 frames above the
+    caller, the bound the bmw module docstring states."""
+    cells = [CM.CellIndex(n, f, lam) for n in range(1, 7)
+             for f in range(n // 2 + 1) for lam in partitions(n - 2 * f)]
+    cells += [CM.CellIndex(7, 3, (1,)), CM.CellIndex(7, 1, (5,)),
+              CM.CellIndex(7, 1, (1, 1, 1, 1, 1))]
+    bmw._WT.clear()
+    bmw._WE.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        for cell in cells:
+            CM._assemble(cell)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_top_cell_vanishing():
     for n in (2, 4):
         g = CM.gram_matrix(CM.CellIndex(n, n // 2, ()))

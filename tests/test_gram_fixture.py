@@ -1,8 +1,9 @@
 """Every cell with 1 <= n <= 6 against the sha256 of its
 `gram --output json` stdout, recorded before the Gram matrices were read
 through the double-coset table (46 cells: 1, 3, 4, 8, 11 and 19 per
-degree), and the three f = 2 cells at n = 7, recorded before the tower form
-was computed by one walk of the dangle tree."""
+degree), the three f = 2 cells at n = 7, recorded before the tower form
+was computed by one walk of the dangle tree, and three f = 1 cells at
+n = 7, recorded before each node of that walk kept one entry per dangle."""
 
 import contextlib
 import hashlib
@@ -73,6 +74,12 @@ GRAM_N7_F2_JSON_SHA256 = {
     (7, 2, (1, 1, 1)): "0c5b0134b969069b63dbf94a26b9c78b0227eaa6cb5270c4d956f5dae0df5c3a",
 }
 
+GRAM_N7_F1_JSON_SHA256 = {
+    (7, 1, (5,)): "0d29cd2f17403bad8d594ce04a0cf20ea475d5df02908de87795793072879a07",
+    (7, 1, (4, 1)): "74b8a84163f374ab14db58e00478437d176973101b64ec097cfc4c6d5c18c153",
+    (7, 1, (1, 1, 1, 1, 1)): "ac6e41530f28323bee5d98c3aad8d554ebb8e39e53c9fcd3bc45b542c71e5456",
+}
+
 
 def _gram_json_sha256(n, f, lam):
     out = io.StringIO()
@@ -95,6 +102,14 @@ def test_gram_json_matches_fixture(n):
 @pytest.mark.parametrize("cell", sorted(GRAM_N7_F2_JSON_SHA256), ids=str)
 def test_gram_json_n7_f2_matches_fixture(cell):
     assert _gram_json_sha256(*cell) == GRAM_N7_F2_JSON_SHA256[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(GRAM_N7_F1_JSON_SHA256), ids=str)
+def test_gram_json_n7_f1_matches_fixture(cell):
+    """The n = 7, f = 1 cells, where an entry of the tower-form walk is a
+    Hecke element of S_5 (up to 120 words) and about half the words it
+    reads carry a w != 1."""
+    assert _gram_json_sha256(*cell) == GRAM_N7_F1_JSON_SHA256[cell]
 
 
 def test_concurrent_cold_builds_match_fixture():
