@@ -39,7 +39,7 @@ word E^{f,n} T_w T_v is read as g_w times the value at E^{f,n} T_v.
 
 from __future__ import annotations
 
-from .coeff import DELTA, LaurentPoly, add_term
+from .coeff import DELTA, LaurentPoly, add_term, lincomb
 from .combin import (apply_right_s, dangle_from_data, dfn, perm_id,
                      perm_inv, perm_len, perm_mul, perm_word, right_ascent)
 from .hecke import HeckeElem
@@ -545,8 +545,9 @@ def phi_pairs(f, n):
     therefore keeps one row, Psi_v(E^{f,n} T_v') keyed by the dangle v' and
     filled on demand.  An entry at a child is Psi_parent of the level-f
     words of E^{f,n} T_v' T_i, each one Hecke product g_w times an entry of
-    the parent's row; the structure-constant tables see only dangle words,
-    and the root folds E^{f,n} onto |D_{f,n}| of them.  The walk is depth
+    the parent's row; its coefficient at each g_x is summed over those
+    words by one coeff.lincomb call.  The structure-constant tables see
+    only dangle words, and the root folds E^{f,n} onto |D_{f,n}| of them.  The walk is depth
     first, and a node's row lives only while its subtree is open.
     """
     dangles = dfn(f, n)
@@ -568,7 +569,7 @@ def phi_pairs(f, n):
 
     def below(parent_row, i):
         def entry(dangle):
-            terms = {}
+            pairs = {}
             prod = _wt_cached(n, heads[dangle], i)
             for (ff, uu, ww, vv), d in prod.items():
                 if ff == f and uu == idn:
@@ -578,7 +579,12 @@ def phi_pairs(f, n):
                         h = HeckeElem(m, h).star().times_basis_word(
                             reversed(perm_word(ww))).star().terms
                     for x, c in h.items():
-                        add_term(terms, x, c * d)
+                        pairs.setdefault(x, []).append((c, d))
+            terms = {}
+            for x, xpairs in pairs.items():
+                c = lincomb(xpairs)
+                if c:
+                    terms[x] = c
             return terms
         return entry
 

@@ -15,7 +15,10 @@ depth-first walk of the dangle tree (bmw.phi_pairs), and direct_gram, the
 product inside the algebra, is kept as the reference for the tests.  The
 walk keeps one Hecke element per dangle at each node: T_w with w in S_m
 commutes with E^{f,n}, so the tower form is left-linear over the Hecke
-algebra, and a word E^{f,n} T_w T_u contributes g_w phi_f(u, v).
+algebra, and a word E^{f,n} T_w T_u contributes g_w phi_f(u, v).  The
+form is linear in phi, so an entry is sum_w phi_w K[w][s][t] with
+K[w][s][t] = <g_{d(s)} g_w g_{d(t)}^*>_lam, a table kept per cell while
+it is built and summed with one coeff.lincomb call.
 gram_matrix, the one way to get a Gram matrix, assembles each cell once
 per process and keeps it once it passed the sign certificate: callers share
 the kept, certified matrix and must not mutate it.
@@ -26,9 +29,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bmw import fold_T, mul_elems, star_elem
-from .coeff import LaurentPoly
-from .combin import (d_of, dfn, partitions, perm_id, perm_len, perm_word,
-                     std_tableaux)
+from .coeff import LaurentPoly, lincomb
+from .combin import (d_of, dfn, partitions, perm_id, perm_inv, perm_len,
+                     perm_word, std_tableaux)
 from .exactla import EvalPlan, bareiss_det, plan_rank
 from .hecke import HeckeElem, cell_coefficient, cell_form, young_subgroup
 from . import bmw as _bmw
@@ -159,29 +162,52 @@ def gram_matrix(cell):
 
 def _assemble(cell):
     """Entry ((s, u), (t, v)) is <g_{d(s)} phi_f(u, v) g_{d(t)}^*>_lam,
-    phi_0 = 1, one Hecke product read term by term through
-    hecke.cell_value.  The phi_f(u, v) arrive pair by pair from
-    bmw.phi_pairs."""
+    phi_0 = 1, summed once as sum_w phi_w K[w][s][t] over the support of
+    phi_f(u, v), with K[w][s][t] = <g_{d(s)} g_w g_{d(t)}^*>_lam read
+    through cell_form.  K is filled per w when a phi first needs it (or
+    transposed from K[w^-1]) and dropped with the cell.  The phi_f(u, v)
+    arrive pair by pair from bmw.phi_pairs."""
     n, f, lam = cell.n, cell.f, cell.lam
     if n > DEFAULT_MAX_N:
         raise ValueError("degree %d outside the budget 0..%d"
                          % (n, DEFAULT_MAX_N))
     m = n - 2 * f
     tabs = std_tableaux(lam)
-    lefts = {s: HeckeElem.basis(m, d_of(s)) for s in tabs}
-    rights = {t: tuple(reversed(perm_word(d_of(t)))) for t in tabs}
+    lefts = [HeckeElem.basis(m, d_of(s)) for s in tabs]
+    rights = [tuple(reversed(perm_word(d_of(t)))) for t in tabs]
+    kernel = {}
+
+    def kernel_at(w):
+        # <h^*>_lam = <h>_lam, so K[w^-1] is the transpose of K[w]
+        table = kernel.get(w)
+        if table is None:
+            inv = perm_inv(w)
+            if inv in kernel:
+                table = [list(col) for col in zip(*kernel[inv])]
+            else:
+                word = perm_word(w)
+                table = []
+                for i, left in enumerate(lefts):
+                    left = left.times_basis_word(word)
+                    table.append([
+                        table[j][i] if inv == w and j < i
+                        else cell_form(left.times_basis_word(right), lam)
+                        for j, right in enumerate(rights)])
+            kernel[w] = table
+        return table
+
     labels = cell_labels(cell)
     index = {label: k for k, label in enumerate(labels)}
     entries = [[None] * len(labels) for _ in labels]
     # the pairs u <= v only: the transposed entries are filled by symmetry
     for u, v, phi in _bmw.phi_pairs(f, n):
-        for s in tabs:
-            left = lefts[s] * phi
+        tables = [(c, kernel_at(w)) for w, c in phi.terms.items()]
+        for i, s in enumerate(tabs):
             a = index[(s, u)]
-            for t in tabs:
+            for j, t in enumerate(tabs):
                 b = index[(t, v)]
                 if entries[a][b] is None:
-                    val = cell_form(left.times_basis_word(rights[t]), lam)
+                    val = lincomb((c, table[i][j]) for c, table in tables)
                     entries[a][b] = val
                     entries[b][a] = val
     return GramMatrix(cell, labels, entries)

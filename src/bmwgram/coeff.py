@@ -29,28 +29,27 @@ def _slice_by_r(terms):
 
 
 def _div_omega(terms):
-    """Exact division by w = q - q^{-1}; None if not divisible."""
-    if not terms:
-        return {}
+    """Exact division by w = q - q^{-1}; None if not divisible.
+
+    w = q^{-1}(q - 1)(q + 1), so w divides the numerator exactly when every
+    r-slice vanishes at q = 1 and at q = -1, that is when, for every b, the
+    coefficients of q^a r^b sum to 0 over even a and over odd a.  That test
+    comes first, and only a division that succeeds is carried out."""
+    sums = {}
+    for (a, b), c in terms.items():
+        key = (a & 1, b)
+        sums[key] = sums.get(key, 0) + c
+    if any(sums.values()):
+        return None
     out = {}
     for b, sl in _slice_by_r(terms).items():
         # divide the q-slice by q - q^-1, i.e. multiply by q, divide by q^2 - 1
-        num = {a + 1: c for a, c in sl.items()}
-        hi = max(num)
-        lo = min(num)
-        quo = {}
-        carry = dict(num)
-        for k in range(hi, lo + 1, -1):
-            c = carry.get(k, 0)
+        carry = {a + 1: c for a, c in sl.items()}
+        for k in range(max(carry), min(carry) + 1, -1):
+            c = carry.pop(k, 0)
             if c:
-                quo[k - 2] = c
+                out[(k - 2, b)] = c
                 carry[k - 2] = carry.get(k - 2, 0) + c
-                del carry[k]
-        if any(carry.get(k, 0) for k in list(carry)):
-            return None
-        for a, c in quo.items():
-            if c:
-                out[(a, b)] = c
     return out
 
 
@@ -75,6 +74,44 @@ def _canonical(terms, wexp=0):
     out.terms = terms
     out.wexp = wexp
     return out
+
+
+def _times_w(terms):
+    """Numerator terms times w = q - q^{-1}, zero coefficients dropped."""
+    out = {}
+    for (a, b), c in terms.items():
+        out[(a + 1, b)] = out.get((a + 1, b), 0) + c
+        out[(a - 1, b)] = out.get((a - 1, b), 0) - c
+    return _strip(out)
+
+
+def lincomb(pairs):
+    """sum c * d over the (c, d) pairs of LaurentPolys, canonicalized once.
+
+    The raw numerator products are summed by their power of w, the sums
+    are brought to the common power w^k, k the largest (Horner in w), and
+    w is reduced once at the end.  A single pair is the product c * d,
+    which returns an operand itself when the other is 1."""
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        return pairs[0][0] * pairs[0][1]
+    sums = {}
+    for c, d in pairs:
+        acc = sums.setdefault(c.wexp + d.wexp, {})
+        for (a1, b1), c1 in c.terms.items():
+            for (a2, b2), c2 in d.terms.items():
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    if not sums:
+        return _ZERO
+    low, top = min(sums), max(sums)
+    out = sums[low]
+    for k in range(low + 1, top + 1):
+        out = _times_w(out)
+        for key, c in sums.get(k, {}).items():
+            out[key] = out.get(key, 0) + c
+    terms, wexp = _reduce_w(_strip(out), top)
+    return _canonical(terms, wexp) if terms else _ZERO
 
 
 def add_term(terms, key, c):
@@ -223,11 +260,7 @@ class LaurentPoly:
         """Numerator terms after multiplying the denominator by w^extra_w."""
         terms = dict(self.terms)
         for _ in range(extra_w):
-            out = {}
-            for (a, b), c in terms.items():
-                out[(a + 1, b)] = out.get((a + 1, b), 0) + c
-                out[(a - 1, b)] = out.get((a - 1, b), 0) - c
-            terms = _strip(out)
+            terms = _times_w(terms)
         return terms
 
     # -- structure -------------------------------------------------------
@@ -310,6 +343,10 @@ class LaurentPoly:
     def __repr__(self):
         return "LaurentPoly(%s)" % str(self)
 
+
+# the zero every empty linear combination returns: values are immutable,
+# so the Gram matrices' many zero entries share it
+_ZERO = LaurentPoly.zero()
 
 # delta = 1 + (r - r^{-1})/w = (q + r)(qr - 1)/(r(q + 1)(q - 1)), the value
 # of a closed loop: E_i^2 = delta E_i

@@ -83,20 +83,30 @@ def bareiss_det(matrix):
                     for row, (qlo, rlo) in zip(rows, lows)], twist)
     qshift = sum(a for a, _b in lows + clows)
     rshift = sum(b for _a, b in lows + clows)
-    mask = (1 << width) - 1
-    half = 1 << width - 1
     out = {}
-    pos = 0
-    while det:
-        digit = det & mask
-        if digit >= half:
-            digit -= 1 << width
+    for pos, digit in enumerate(_balanced_digits(det, width)):
         if digit:
             b, a = divmod(pos, span + 1)
             out[(qshift + a, rshift + b)] = digit
-        det = (det - digit) >> width
-        pos += 1
     return LaurentPoly(out, k * n)
+
+
+def _balanced_digits(x, width):
+    """Yield the digits of x in base 2^width, each in
+    [-2^(width-1), 2^(width-1)), lowest first, in one pass: x is read as
+    the two's complement of a few more bits than it has, byte by byte, and
+    a digit at or above 2^(width-1) carries 1 into the next.  The top
+    digits come out 0."""
+    size = width * (x.bit_length() // width + 2)
+    raw = (x & ((1 << size) - 1)).to_bytes(size // 8 + 1, "little")
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    carry = 0
+    for lo in range(0, size, width):
+        chunk = int.from_bytes(raw[lo >> 3:((lo + width) >> 3) + 1], "little")
+        digit = (chunk >> (lo & 7) & mask) + carry
+        carry = digit >= half
+        yield digit - (carry << width)
 
 
 def _lowest(keys):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 import itertools
 
-from .coeff import LaurentPoly, add_term
+from .coeff import LaurentPoly, add_term, lincomb
 from .combin import (apply_right_s, conjugate, d_of, perm_id, perm_inv,
                      perm_len, perm_mul, perm_word, right_ascent)
 
@@ -237,11 +237,9 @@ def cell_coefficient(elem, lam):
 
 def cell_form(elem, lam):
     """<elem>_lam: the coefficient c with X_lam elem X_lam = c X_lam modulo
-    the higher cells, read term by term through cell_value."""
-    total = LaurentPoly.zero()
-    for w, c in elem.terms.items():
-        total = total + c * cell_value(lam, w)
-    return total
+    the higher cells, read term by term through cell_value and summed by
+    one coeff.lincomb call."""
+    return lincomb((c, cell_value(lam, w)) for w, c in elem.terms.items())
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bmwgram.coeff import (CONCRETE_MAX_P, GENERIC, PRIME_LIMIT, LaurentPoly,
-                           ParamSpec, either, is_prime,
+                           ParamSpec, _div_omega, either, is_prime, lincomb,
                            parse_poly)
 from bmwgram.exactla import PIVOT_PRIME
 from bmwgram.oracle import sweep_specs
@@ -82,7 +82,11 @@ def test_fast_paths_match_canonical_constructor():
     pool += [rand_poly(rng) for _ in range(30)]
     for a in pool:
         for b in pool:
-            for got, want in ((a + b, _ref_add(a, b)), (a * b, _ref_mul(a, b))):
+            combo = lincomb([(a, b), (b, b), (a, L.one())])
+            want_combo = _ref_add(_ref_add(_ref_mul(a, b), _ref_mul(b, b)), a)
+            for got, want in ((a + b, _ref_add(a, b)), (a * b, _ref_mul(a, b)),
+                              (combo, want_combo),
+                              (lincomb([(a, b), (-a, b)]), L.zero())):
                 _assert_canonical(got)
                 assert got == want
         assert a + (-a) == L.zero()
@@ -96,6 +100,45 @@ def test_fast_paths_match_canonical_constructor():
     # an equal-wexp sum that w divides loses its denominator
     total = Q * L.omega_inv(1) + L.q(-1) * L.omega_inv(1) * L.integer(-1)
     assert total == L.one()
+    # so does a linear combination, at one power of w or two:
+    # q w^-1 - q^-1 w^-1 = 1 and q w^-1 + (q^-2 - 1) w^-2 = 1
+    for pairs in ([(Q, L.omega_inv(1)), (L.q(-1), -L.omega_inv(1))],
+                  [(Q, L.omega_inv(1)), (L.zero(), L.omega_inv(2)),
+                   (L.q(-2) - L.one(), L.omega_inv(2))]):
+        total = lincomb(pairs)
+        assert total == L.one() and total.wexp == 0
+    assert lincomb([]) == L.zero() and lincomb([]).wexp == 0
+
+
+def test_div_omega_exactly_when_slices_vanish_at_plus_minus_one():
+    """w = q^-1 (q - 1)(q + 1) divides a numerator exactly when each
+    r-slice vanishes at q = 1 and at q = -1; then quotient * w is the
+    numerator.  Numerators divisible by q - 1 only, by q + 1 only and by
+    powers of w are all drawn."""
+    rng = random.Random(13)
+    factors = [L.one(), Q - L.one(), Q + L.one(), W, W * W, W * (Q - L.one()),
+               W * W * (Q + L.one())]
+    seen = set()
+    for _ in range(600):
+        base = rand_poly(rng, 5)
+        num = _ref_mul(L(base.terms), rng.choice(factors)).terms
+        slices = {}
+        for (a, b), c in num.items():
+            at_one, at_minus_one = slices.get(b, (0, 0))
+            slices[b] = (at_one + c, at_minus_one + c * (-1) ** (a % 2))
+        divisible = not any(x for pair in slices.values() for x in pair)
+        quo = _div_omega(num)
+        seen.add((divisible, any(v[0] for v in slices.values()),
+                  any(v[1] for v in slices.values())))
+        if divisible:
+            assert quo is not None and all(quo.values())
+            assert _ref_mul(L(quo), W) == L(num)
+        else:
+            assert quo is None
+    # drawn: numerators w divides, ones only q - 1 or only q + 1 divides,
+    # and ones neither divides
+    assert {(True, False, False), (False, False, True),
+            (False, True, False), (False, True, True)} <= seen
 
 
 def test_canonical_form_idempotent():

@@ -307,6 +307,42 @@ def test_bareiss_det_matches_reference(n):
             _random_matrix(rng, n, nterms, height, wmax))
 
 
+def _digits_by_shifting(x, width):
+    """The former decode of bareiss_det: one shift of all of x per digit,
+    quadratic in the digit count."""
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    out = []
+    while x:
+        digit = x & mask
+        if digit >= half:
+            digit -= 1 << width
+        out.append(digit)
+        x = (x - digit) >> width
+    return out
+
+
+def test_balanced_digits_match_shift_loop():
+    """The one-pass decode returns the balanced digits the shift loop
+    returns, followed by zeros only: digit strings with zero digits, the
+    extreme digits -2^(width-1) and 2^(width-1) - 1, and a top digit that
+    is negative in most cases."""
+    rng = random.Random(29)
+    assert not any(exactla._balanced_digits(0, 5))
+    for _ in range(600):
+        width = rng.randint(2, 70)
+        half = 1 << width - 1
+        digits = [rng.choice((0, 0, -half, half - 1, rng.randrange(-half, half)))
+                  for _ in range(rng.randint(1, 30))]
+        digits[-1] = rng.randrange(-half, 0 if rng.random() < 0.8 else half)
+        while digits and not digits[-1]:
+            digits.pop()
+        x = sum(d << width * i for i, d in enumerate(digits))
+        got = list(exactla._balanced_digits(x, width))
+        assert _digits_by_shifting(x, width) == digits
+        assert got[:len(digits)] == digits and not any(got[len(digits):])
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bareiss_det_zero_row_and_rank_deficient(n):
     rng = random.Random(8000 + n)

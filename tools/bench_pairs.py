@@ -32,7 +32,10 @@ Exits 1 if a run fails to produce a result or reports a failed operation.
 
 Its last stdout lines give, for every workload run and every end-to-end
 metric of BENCHMARK.json, the parent and change medians, the parent's IQR,
-the pairs the change won and the run length.
+the pairs the change won and the run length, and end with one verdict
+(``verdict``): ``gain``, ``worse than bound``, ``unresolved`` or
+``within bound``, read against the metric's relative ``bound`` in
+BENCHMARK.json.
 """
 
 import argparse
@@ -75,12 +78,14 @@ def run_bench(checkout, workload, seed, trace, seconds):
 
 def directions(checkout):
     """The better direction of every metric, the end-to-end metrics'
-    names in BENCHMARK.json's order, and its run length in seconds."""
+    bounds by name in BENCHMARK.json's order, and its run length in
+    seconds."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     return ({m["name"]: m["better"]
              for m in spec["end_to_end"] + spec["per_layer"]},
-            [m["name"] for m in spec["end_to_end"]], spec["run_seconds"])
+            {m["name"]: m["bound"] for m in spec["end_to_end"]},
+            spec["run_seconds"])
 
 
 def summary(values):
@@ -136,7 +141,7 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     out_path = args.out or "BENCH_%s.json" % args.tag
-    better, end_to_end, seconds = directions(args.change)
+    better, bounds, seconds = directions(args.change)
     report = {"tag": args.tag, "workloads": {}}
     if os.path.exists(out_path):
         with open(out_path) as fh:
@@ -174,21 +179,41 @@ def main(argv=None):
     for workload in args.workload:
         key = "%s seed=%d trace=%d" % (workload, args.seed, args.trace)
         metrics = report["workloads"][key]["metrics"]
-        for name in end_to_end:
+        for name, bound in bounds.items():
             if name in metrics:
-                print(summary_line(key, name, metrics[name], seconds))
+                print(summary_line(key, name, metrics[name], seconds, bound))
     return status
 
 
-def summary_line(key, name, m, seconds):
+def verdict(m, bound):
+    """How one end-to-end metric reads, first match wins:
+    ``gain`` when the change won at least 9/10 of the pairs and its median
+    is better than the parent's by more than the parent's IQR;
+    ``worse than bound`` when its median is worse than the parent's by more
+    than ``bound`` times the parent's median;
+    ``unresolved`` when the parent's IQR exceeds ``bound`` times its
+    median, so the runs spread too widely to tell;
+    ``within bound`` otherwise."""
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    gain = parent - change if m["better"] == "lower" else change - parent
+    if 10 * m["pairs_won"] >= 9 * m["pairs"] and gain > m["parent"]["iqr"]:
+        return "gain"
+    if -gain > bound * abs(parent):
+        return "worse than bound"
+    if m["parent"]["iqr"] > bound * abs(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summary_line(key, name, m, seconds, bound):
     """One workload's end-to-end metric: the two medians, the parent's
     IQR, the pairs the change won and the run length, the figures a
-    claimed gain is read from."""
+    claimed gain is read from, and last the verdict."""
     return ("%s %s: parent median %.4g, change median %.4g, parent IQR "
-            "%.4g, change won %d/%d pairs (%s is better; %g s runs)"
+            "%.4g, change won %d/%d pairs (%s is better; %g s runs): %s"
             % (key, name, m["parent"]["median"], m["change"]["median"],
                m["parent"]["iqr"], m["pairs_won"], m["pairs"], m["better"],
-               seconds))
+               seconds, verdict(m, bound)))
 
 
 if __name__ == "__main__":
