@@ -456,12 +456,6 @@ def generator(kind, i, n):
     return BmwElem.generator(kind, i, n)
 
 
-def e_fn(f, n):
-    if not 0 <= 2 * f <= n:
-        raise ValueError("need 0 <= 2f <= n")
-    return BmwElem(n, {word_efn(n, f): ONE})
-
-
 def jucys_murphy(i, n):
     """L_1 = r, L_i = T_{i-1} L_{i-1} T_{i-1}."""
     if not 1 <= i <= n:

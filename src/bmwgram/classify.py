@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import DELTA, either, is_prime
+from .coeff import either, is_prime
 from .combin import (forbidden_r_values, hook_lengths, is_e_restricted,
                      nu_ep, partitions)
+
+CLASSIFY_MAX_N = 100000   # largest degree of classify_bmw and classify_brauer,
+                          # which build set_S(n) and set_Z(n) in full:
+                          # classify --r q^5 takes 0.9-1.5 s at 84 MB max RSS at
+                          # n = 1e5 and 14 s at 670 MB at 1e6, classify-brauer
+                          # 0.2 s and 0.7 s at 363 MB (2-vCPU VM, CPython 3.11)
 
 
 @dataclass
@@ -66,8 +72,9 @@ def set_Z(n):
 
 def classify_bmw(n, spec):
     """Decide singularity of the defining parameters for degree n."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    if not 2 <= n <= CLASSIFY_MAX_N:
+        raise ValueError("degree %d outside the budget 2..%d"
+                         % (n, CLASSIFY_MAX_N))
     if spec.e is not None and spec.e <= n - 2:
         return Verdict(spec.r_sign != 0, "main.2")
     inpair = spec.r_in_inverse_pair()
@@ -106,15 +113,6 @@ def classify_bmw(n, spec):
     return Verdict(True, "main.1.2.a")
 
 
-def delta_of(spec):
-    """delta = (q+r)(qr-1)/(r(q+1)(q-1)) under the spec."""
-    if spec.is_concrete():
-        return DELTA.specialize(spec.p, spec.q0, spec.r0)
-    if spec.r_sign == 0:
-        return DELTA
-    return DELTA.substitute_r(spec.r_sign, spec.r_exp)
-
-
 def classify_brauer(n, delta, p):
     """Brauer-algebra singularity of the parameter delta over a field of
     characteristic p (p=None for characteristic zero).
@@ -124,8 +122,9 @@ def classify_brauer(n, delta, p):
     that is not in the prime field's integer span (only meaningful for
     transcendental delta in characteristic zero).
     """
-    if n < 3:
-        raise ValueError("needs n >= 3")
+    if not 3 <= n <= CLASSIFY_MAX_N:
+        raise ValueError("degree %d outside the budget 3..%d"
+                         % (n, CLASSIFY_MAX_N))
     if p is not None and not is_prime(p):
         raise ValueError("p must be prime or None")
     if p is not None and p <= n - 2:

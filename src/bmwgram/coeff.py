@@ -8,8 +8,7 @@ coefficients, minimal w-denominator), so equality is structural equality.
 Concrete computations happen in prime fields GF(p); `ParamSpec` is a
 parameter regime (order of q^2, characteristic, the shape of r), which a
 concrete point (p, q0, r0) fixes and carries along.  This module also
-holds the parser and the primality test; matrices over GF(p) live in
-`exactla`.
+holds the primality test; matrices over GF(p) live in `exactla`.
 """
 
 from __future__ import annotations
@@ -372,119 +371,6 @@ def render_terms(terms):
         else:
             parts.append((" + " if c > 0 else " - ") + mono)
     return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# parsing: sums of products of powers of integers, q, r and w
-# ---------------------------------------------------------------------------
-
-def _tokenize(s):
-    toks = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            toks.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            toks.append(int(s[i:j]))
-            i = j
-        elif ch in "qrw":
-            toks.append(ch)
-            i += 1
-        else:
-            raise ValueError("bad character %r in %r" % (ch, s))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def parse_expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        acc = self.parse_term() * LaurentPoly.integer(sign)
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.next() == "-":
-                    sign = -sign
-            acc = acc + self.parse_term() * LaurentPoly.integer(sign)
-        return acc
-
-    def parse_term(self):
-        acc = self.parse_factor()
-        while True:
-            if self.peek() == "*":
-                self.next()
-                acc = acc * self.parse_factor()
-            elif self.peek() in ("q", "r", "w", "(") or isinstance(self.peek(), int):
-                acc = acc * self.parse_factor()
-            else:
-                return acc
-
-    def parse_factor(self):
-        t = self.next()
-        if t == "(":
-            inner = self.parse_expr()
-            if self.next() != ")":
-                raise ValueError("unbalanced parenthesis")
-            base = inner
-        elif isinstance(t, int):
-            base = LaurentPoly.integer(t)
-        elif t in ("q", "r", "w"):
-            base = {"q": LaurentPoly.q(), "r": LaurentPoly.r(),
-                    "w": LaurentPoly.omega()}[t]
-        else:
-            raise ValueError("unexpected token %r" % (t,))
-        if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            e = self.next()
-            if not isinstance(e, int):
-                raise ValueError("exponent must be an integer")
-            e *= sign
-            if e >= 0:
-                base = base ** e
-            else:
-                if t == "q":
-                    base = LaurentPoly.q(e)
-                elif t == "r":
-                    base = LaurentPoly.r(e)
-                elif t == "w":
-                    base = LaurentPoly.omega_inv(-e)
-                else:
-                    raise ValueError("negative power of a non-unit")
-        return base
-
-
-def parse_poly(s):
-    """Parse the canonical text form back into a LaurentPoly."""
-    p = _Parser(_tokenize(s))
-    out = p.parse_expr()
-    if p.peek() is not None:
-        raise ValueError("trailing tokens in %r" % s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Elements are finite maps {permutation: LaurentPoly} with the usual rule
 g_w g_i = g_{w s_i} when the length goes up and g_{w s_i} + w g_w when it
 goes down (w here is the localization parameter q - q^{-1}).
 
-The Murphy basis x_{st} = g_{d(s)}^* X_lam g_{d(t)} expands with support
-{d(s)^{-1} x d(t) : x in the Young subgroup}, all products length-additive;
-its lex-longest member d(s)^{-1} w_lam d(t) identifies (lam, s, t) uniquely,
-which makes straightening a triangular pass by decreasing length.
+The form <h>_lam, the X_lam-coefficient of X_lam h X_lam modulo the higher
+cells, is read term by term from a table of its values at the shortest
+double-coset representatives (cell_value).  Each value is one
+cell_coefficient call, a Dipper-James probe read at a term whose
+coefficient is 1.  Right multiplication by a Young-subgroup sum, X_mu or
+n_mu, is one closed form (times_symmetrizer), which both use.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class HeckeElem:
         out.m = m
         out.terms = terms
         return out
-
-    @classmethod
-    def one(cls, m):
-        return cls(m, {perm_id(m): LaurentPoly.one()})
 
     @classmethod
     def basis(cls, m, w):
@@ -162,8 +160,8 @@ def _cell_probe(lam, m):
     """
     dcol = d_of(column_superstandard(lam))
     wcol = perm_word(dcol)
-    z = times_signed_symmetrizer(x_lambda(lam, m).times_basis_word(wcol),
-                                 conjugate(lam))
+    z = times_symmetrizer(x_lambda(lam, m).times_basis_word(wcol),
+                          conjugate(lam), -1)
     if z.terms.get(dcol) != LaurentPoly.one():
         raise AssertionError("cell probe for %r has coefficient %s at "
                              "g_d(t_col), not 1" % (lam, z.terms.get(dcol)))
@@ -172,8 +170,8 @@ def _cell_probe(lam, m):
 
 @lru_cache(maxsize=None)
 def _value_blocks(mu, m):
-    """The block of mu holding each value 1..m (index 0 unused), the first
-    value of each block, and (-q)^{-l} for every length l in S_m."""
+    """The block of mu holding each value 1..m (index 0 unused) and the
+    first value of each block."""
     block = [None]
     starts = []
     for b, part in enumerate(mu):
@@ -181,22 +179,29 @@ def _value_blocks(mu, m):
         block.extend([b] * part)
     if len(block) != m + 1:
         raise ValueError("partition does not fill the degree")
-    signs = tuple(LaurentPoly.monomial((-1) ** (l % 2), -l, 0)
-                  for l in range(m * (m - 1) // 2 + 1))
-    return tuple(block), tuple(starts), signs
+    return tuple(block), tuple(starts)
 
 
-def times_signed_symmetrizer(elem, mu):
-    """elem * n_mu in closed form.
+@lru_cache(maxsize=None)
+def _unit_powers(sign, m):
+    """u^l for every length l in S_m, u = q for sign +1 and -q^{-1} for -1."""
+    return tuple(LaurentPoly.monomial(sign ** l, sign * l, 0)
+                 for l in range(m * (m - 1) // 2 + 1))
 
-    Each x is x' y with y in the Young subgroup S_mu and x' the shortest
-    element of x S_mu (the values of every block of mu put in increasing
-    order), lengths adding; so g_x n_mu = (-q)^{-l(y)} g_{x'} n_mu, and
-    g_{x'} n_mu = sum over y of (-q)^{-l(y)} g_{x'y}, whose supports are
-    disjoint for distinct x'.
+
+def times_symmetrizer(elem, mu, sign):
+    """elem * sum over the Young subgroup S_mu of u^{l(y)} g_y in closed
+    form, with u = q for sign +1 (X_mu) and u = -q^{-1} for sign -1 (n_mu).
+
+    Each x is x' y with y in S_mu and x' the shortest element of x S_mu
+    (the values of every block of mu put in increasing order), lengths
+    adding.  Calling the sum S, g_y S = u^{l(y)} S, so g_x S =
+    u^{l(y)} g_{x'} S, and g_{x'} S = sum over y of u^{l(y)} g_{x'y}, whose
+    supports are disjoint for distinct x'.
     """
     m = elem.m
-    block, starts, signs = _value_blocks(mu, m)
+    block, starts = _value_blocks(mu, m)
+    units = _unit_powers(sign, m)
     reps = {}
     for x, c in elem.terms.items():
         nxt = list(starts)
@@ -209,11 +214,11 @@ def times_signed_symmetrizer(elem, mu):
             for u in x[k + 1:]:
                 if u < v and block[u] == b:
                     inv += 1
-        add_term(reps, tuple(rep), c * signs[inv])
+        add_term(reps, tuple(rep), c * units[inv])
     terms = {}
     for rep, a in reps.items():
         for y in young_subgroup(mu, m):
-            terms[perm_mul(rep, y)] = a * signs[perm_len(y)]
+            terms[perm_mul(rep, y)] = a * units[perm_len(y)]
     return HeckeElem._wrap(m, terms)
 
 
@@ -225,8 +230,8 @@ def cell_coefficient(elem, lam):
     the full proportionality is checked.
     """
     wcol, z, dcol = _cell_probe(lam, elem.m)
-    paired = times_signed_symmetrizer(elem.times_basis_word(wcol),
-                                      conjugate(lam))
+    paired = times_symmetrizer(elem.times_basis_word(wcol), conjugate(lam),
+                               -1)
     if paired.is_zero():
         return LaurentPoly.zero()
     c = paired.terms.get(dcol, LaurentPoly.zero())
@@ -250,7 +255,9 @@ def cell_value(lam, w):
     shortest element of S_lam w S_lam and the lengths adding (Dipper-James
     1986; Mathas, ULECT 15, ch. 3).  As g_a X_lam = q^{l(a)} X_lam =
     X_lam g_a, <g_w> = q^{l(w)-l(d)} c_d with c_d = <g_d>.  c_1 is the sum
-    over S_lam of q^{2 l(y)}; every other c_d is one cell_coefficient call.
+    over S_lam of q^{2 l(y)}; every other c_d is one cell_coefficient call
+    on X_lam g_d X_lam, whose right factor X_lam times_symmetrizer
+    multiplies in closed form.
     """
     m = len(w)
     d = double_coset_min(lam, w)
@@ -259,15 +266,15 @@ def cell_value(lam, w):
     if d == perm_id(m):
         return sum((LaurentPoly.q(2 * perm_len(y))
                     for y in young_subgroup(lam, m)), LaurentPoly.zero())
-    x = x_lambda(lam, m)
-    return cell_coefficient(x.times_basis_word(perm_word(d)) * x, lam)
+    xd = x_lambda(lam, m).times_basis_word(perm_word(d))
+    return cell_coefficient(times_symmetrizer(xd, lam, 1), lam)
 
 
 def double_coset_min(lam, w):
     """The shortest element of S_lam w S_lam: each row block of positions
     takes, value block by value block, the smallest values not yet placed,
     as many as w puts there."""
-    block, nxt, _signs = _value_blocks(lam, len(w))
+    block, nxt = _value_blocks(lam, len(w))
     nxt = list(nxt)
     d = []
     pos = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .cellmod import DEFAULT_MAX_N, CellIndex, cell_dims, gram_rank
+from .cellmod import DEFAULT_MAX_N, CellIndex, gram_rank
 from .coeff import ParamSpec, is_prime
 from .combin import dfn_size, partitions
 
@@ -94,14 +94,6 @@ def singular_oracle(n, spec):
             singular = True
     return OracleReport(spec=spec, n=n, singular=singular, table=table,
                         first_witness=first)
-
-
-def radical_dims(n, spec):
-    """dim of the radical of each cell module under the concrete spec."""
-    out = {}
-    for cell, dim in cell_dims(n).items():
-        out[cell] = dim - gram_rank(cell, spec)
-    return out
 
 
 def sweep_specs(primes=DEFAULT_PRIMES):

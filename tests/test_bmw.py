@@ -76,10 +76,11 @@ def test_generator_normal_forms():
 
 
 def test_e_fn():
-    assert sorted(B.e_fn(1, 3).terms) == [(1, (1, 2, 3), (1,), (1, 2, 3))]
-    assert B.e_fn(0, 3) == B.BmwElem.one(3)
+    e13 = B.BmwElem.from_word(3, B.word_efn(3, 1))
+    assert sorted(e13.terms) == [(1, (1, 2, 3), (1,), (1, 2, 3))]
+    assert B.BmwElem.from_word(3, B.word_efn(3, 0)) == B.BmwElem.one(3)
     e2 = B.generator("E", 3, 4) * B.generator("E", 1, 4)
-    assert B.e_fn(2, 4) == e2
+    assert B.BmwElem.from_word(4, B.word_efn(4, 2)) == e2
 
 
 def test_dimension_closure():
@@ -191,7 +192,7 @@ def test_phi_f_examples():
 
 def _phi_reference(u, v, f, n):
     """E^{f,n} T_u T_v^* E^{f,n} by full products, read at level f."""
-    e = B.e_fn(f, n)
+    e = B.BmwElem.from_word(n, B.word_efn(n, f))
     x = B.BmwElem(n, B.fold_T(n, e.terms, perm_word(u)))
     x = B.BmwElem(n, B.fold_T(n, x.terms, list(reversed(perm_word(v))))) * e
     idn = perm_id(n)

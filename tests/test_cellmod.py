@@ -6,7 +6,7 @@ import pytest
 
 from bmwgram import bmw, cellmod as CM
 from bmwgram.bmw import DELTA, basis_size
-from bmwgram.coeff import LaurentPoly, ParamSpec, parse_poly
+from bmwgram.coeff import LaurentPoly, ParamSpec
 from bmwgram.combin import d_of, partitions, perm_len
 from bmwgram.exactla import PIVOT_PRIME, plan_rank
 from bmwgram.oracle import sweep_specs
@@ -65,8 +65,10 @@ def test_f0_reduction_to_specht(n):
         assert (g.labels, g.entries) == (ref.labels, ref.entries)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [5])
 def test_inflation_backend(n):
+    """gram_matrix against direct_gram on every f >= 1 cell; n <= 4 is
+    verify.suite_inflation's, which acceptance criterion 5 runs."""
     for f in range(1, n // 2 + 1):
         for lam in partitions(n - 2 * f):
             cell = CM.CellIndex(n, f, lam)
@@ -183,24 +185,6 @@ def test_gram_rank_examples():
         assert CM.gram_rank(CM.CellIndex(sum(lam), 0, lam), spec) == rank
 
 
-def gram_from_json(data):
-    """The GramMatrix that ``GramMatrix.to_json`` wrote as ``data``."""
-    cell = CM.CellIndex(data["cell"]["n"], data["cell"]["f"],
-                        tuple(data["cell"]["lambda"]))
-    labels = [(tuple(tuple(row) for row in t), tuple(v))
-              for t, v in data["labels"]]
-    entries = [[parse_poly(s) for s in row] for row in data["entries"]]
-    return CM.GramMatrix(cell, labels, entries)
-
-
-def test_matrix_json_roundtrip():
-    g = CM.gram_matrix(CM.CellIndex(3, 1, (1,)))
-    data = g.to_json()
-    g2 = gram_from_json(data)
-    assert g2.entries == g.entries
-    assert g2.cell == g.cell
-
-
 def test_sign_certificate_holds_on_every_cell():
     """Every cell with n <= 6 is graded by the sign automorphism
     q -> -q, r -> -r, T_i -> -T_i, and its labels carry both signs, so
@@ -234,20 +218,6 @@ def test_symbolic_det_guard():
             return CM.SYMBOLIC_DET_LIMIT + 1
     with pytest.raises(ValueError):
         CM.gram_det(Fake())
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_central_element_scalar(n):
-    z = CM.central_element(n)
-    for f in range(n // 2 + 1):
-        for lam in partitions(n - 2 * f):
-            cell = CM.CellIndex(n, f, lam)
-            twisted = CM.central_twisted_gram(cell, z)
-            gram = CM.gram_matrix(cell)
-            sigma = CM.central_scalar(cell)
-            for a in range(gram.dim()):
-                for b in range(gram.dim()):
-                    assert twisted.entries[a][b] == sigma * gram.entries[a][b]
 
 
 def evaluate(plan, p, q0, r0):

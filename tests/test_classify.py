@@ -1,7 +1,9 @@
 import pytest
 
 from bmwgram import classify as CL
-from bmwgram.coeff import LaurentPoly, ParamSpec
+from bmwgram.cellmod import cell_dims, gram_rank
+from bmwgram.coeff import DELTA, LaurentPoly, ParamSpec
+from bmwgram.oracle import DEFAULT_PRIMES, sweep_specs
 
 
 def test_set_S():
@@ -63,11 +65,11 @@ def test_classify_brauer_examples():
 
 
 def test_delta_of():
-    assert CL.delta_of(ParamSpec.symbolic(r=(1, -1))).is_zero()
-    assert CL.delta_of(ParamSpec.symbolic(r=(-1, 1))).is_zero()
-    assert CL.delta_of(ParamSpec.concrete(5, 2, 1)) == 1
-    sym = CL.delta_of(ParamSpec.symbolic(r="generic"))
-    assert sym == LaurentPoly.one() + LaurentPoly.omega_inv() * (
+    # delta vanishes at r = q^-1 and r = -q, and is 1 at r0 = 1
+    assert DELTA.substitute_r(1, -1).is_zero()
+    assert DELTA.substitute_r(-1, 1).is_zero()
+    assert DELTA.specialize(5, 2, 1) == 1
+    assert DELTA == LaurentPoly.one() + LaurentPoly.omega_inv() * (
         LaurentPoly.r() - LaurentPoly.r(-1))
 
 
@@ -112,6 +114,22 @@ def test_simple_labels_examples():
     assert len(labels) == 6 and (2, ()) not in labels
     labels = CL.simple_labels(3, ParamSpec.symbolic(e=None, r=(-1, 1)))
     assert {f for f, _lam in labels} == {0, 1}
+
+
+def test_closed_forms_meet_gram_ranks():
+    """simple_labels is the set of cells whose Gram matrix has nonzero
+    rank, and nonzero_gram_criterion says that the rank is full, at every
+    n <= 5 and every regime of sweep_specs(DEFAULT_PRIMES)."""
+    dims = {n: cell_dims(n) for n in range(1, 6)}
+    for spec in sweep_specs(DEFAULT_PRIMES):
+        for n, cells in dims.items():
+            ranks = {cell: gram_rank(cell, spec) for cell in cells}
+            assert set(CL.simple_labels(n, spec)) == {
+                (cell.f, cell.lam) for cell, rank in ranks.items() if rank > 0
+            }, (n, spec)
+            for cell, dim in cells.items():
+                assert CL.nonzero_gram_criterion(n, cell.f, cell.lam, spec) \
+                    == (ranks[cell] == dim), (cell, spec)
 
 
 def test_verdict_json():

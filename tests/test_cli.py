@@ -7,10 +7,11 @@ import pytest
 
 import bmwgram
 from bmwgram import cli
-from bmwgram.cellmod import DIMS_MAX_N, SUBST_MAX_EXP
+from bmwgram.cellmod import (DIMS_MAX_N, SUBST_MAX_EXP, CellIndex,
+                             gram_matrix)
+from bmwgram.classify import CLASSIFY_MAX_N
 from bmwgram.cli import main
 from bmwgram.oracle import DEFAULT_MAX_N, agreement_sweep
-from test_cellmod import gram_from_json
 
 
 def run(capsys, argv):
@@ -72,8 +73,7 @@ def test_gram_json_roundtrip(capsys):
     rc, out = run(capsys, ["--output", "json", "gram", "--n", "2",
                            "--f", "1", "--lambda", "()"])
     assert rc == 0
-    g = gram_from_json(json.loads(out))
-    assert g.dim() == 1
+    assert json.loads(out) == gram_matrix(CellIndex(2, 1, ())).to_json()
 
 
 def test_domain_error_exit_code(capsys):
@@ -292,6 +292,10 @@ _REGIME = ["--p", "5", "--q0", "2", "--r0", "3"]
     pytest.param(["gram", "--n", "3", "--f", "1", "--lambda", "(1)",
                   "--subst", "r=-q^-10000", "--rank", "--p", "5", "--q0", "2",
                   "--r0", "4"], id="gram --subst r=-q^-10000 --rank"),
+    pytest.param(["classify", "--n", str(CLASSIFY_MAX_N + 1), "--r", "q^5"],
+                 id="classify --n past CLASSIFY_MAX_N"),
+    pytest.param(["classify-brauer", "--n", str(CLASSIFY_MAX_N + 1),
+                  "--delta", "3"], id="classify-brauer --n past CLASSIFY_MAX_N"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_degree_budgets(capsys, argv):
     rc = main(argv)

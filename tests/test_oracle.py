@@ -2,11 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from bmwgram.cellmod import DEFAULT_MAX_N, CellIndex, cell_dims
+from bmwgram.cellmod import DEFAULT_MAX_N, CellIndex, cell_dims, gram_rank
 from bmwgram.classify import classify_bmw
 from bmwgram.coeff import ParamSpec
 from bmwgram.oracle import (DEFAULT_PRIMES, OracleReport, agreement_sweep,
-                            radical_dims, singular_oracle, sweep_specs)
+                            singular_oracle, sweep_specs)
 
 
 def test_oracle_examples():
@@ -42,13 +42,12 @@ def test_radical_dims():
     spec = ParamSpec.concrete(11, 2, 4)   # e = 5 > n-2, r generic enough
     from bmwgram.classify import classify_bmw
     if classify_bmw(3, spec).singular is False:
-        rads = radical_dims(3, spec)
-        assert all(v == 0 for v in rads.values())
+        assert all(gram_rank(cell, spec) == dim
+                   for cell, dim in cell_dims(3).items())
     # the defining example: r0 = q0^{-1} kills the top cell at n=2
     spec = ParamSpec.concrete(5, 2, 3)
-    rads = radical_dims(2, spec)
-    assert rads[CellIndex(2, 1, ())] == 1
-    assert rads[CellIndex(2, 0, (1, 1))] == 0
+    assert gram_rank(CellIndex(2, 1, ()), spec) == 0
+    assert gram_rank(CellIndex(2, 0, (1, 1)), spec) == 1
 
 
 def test_f0_rows_match_specht():
@@ -57,11 +56,9 @@ def test_f0_rows_match_specht():
                     (4,): 0, (3, 1): 3, (2, 2): 1, (2, 1, 1): 3,
                     (1, 1, 1, 1): 1}
     for n in (2, 3, 4):
-        rads = radical_dims(n, spec)
-        dims = cell_dims(n)
-        for cell, dim in dims.items():
+        for cell in cell_dims(n):
             if cell.f == 0:
-                assert dim - rads[cell] == specht_ranks[cell.lam]
+                assert gram_rank(cell, spec) == specht_ranks[cell.lam]
 
 
 def test_sweep_specs_exclude_bad_q():
